@@ -1,15 +1,18 @@
-"""PERF — micro-benchmark guarding the vectorized ``filter_trace``.
+"""PERF — micro-benchmark guarding the run-folded ``filter_trace``.
 
-``cpu/llc.py::filter_trace`` is the hot path of every experiment (each
-trace is filtered once per LLC geometry before it can be cached).  The
-optimized version records only miss/write-back *positions* inside the
-sequential LRU walk and assembles the output arrays — including the
-inter-request gaps — with vectorized NumPy afterwards.  This bench pits
-it against the naive append-per-access reference implementation on a
-realistic trace and asserts:
+``cpu/llc.py::filter_trace`` filters every CPU trace once per LLC
+geometry before the memory trace can be cached, so it leads the trace
+layer of the LLC-size sweeps.  It walks the per-set LRU dicts only at
+*run heads*: a re-hit on the line its set touched last is folded onto
+the run's head (its write flag ORed in) with vectorized NumPy, and the
+miss gaps come from the gap prefix sum.  This bench pits it against the
+per-access walk (every access visits the dicts, as ``Llc.access`` does)
+on gcc's trace through a 512 KB, 8-way LLC and asserts:
 
 * identical output (trace, counters, tail), and
-* the optimized path is not slower (with slack for timer noise).
+* the folded filter is at least 1.5x faster.  This geometry keeps about
+  18% of the accesses as run heads, so the margin is below what the
+  LLC-size sweeps see (about 9% at 1-8 MB).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from repro.workloads.trace import AccessTrace
 
 
 def filter_trace_reference(trace: AccessTrace, cfg: LlcConfig):
-    """The pre-optimization implementation: append-per-access lists."""
+    """The per-access walk: every access visits the set dicts."""
     cache = Llc(cfg)
     sets = cache._sets
     ways = cache.ways
@@ -96,11 +99,9 @@ def test_filter_trace_speed_and_equivalence(benchmark, scale):
 
     t_ref, t_new = run_once(benchmark, compare)
     speedup = t_ref / t_new if t_new > 0 else float("inf")
-    print(f"\nfilter_trace: reference {t_ref * 1e3:.1f} ms, "
-          f"optimized {t_new * 1e3:.1f} ms (×{speedup:.2f})")
-    # guard: the optimization must never regress below the naive loop
-    # (10% slack absorbs timer noise on loaded CI hosts)
-    assert t_new <= t_ref * 1.10, (
-        f"vectorized filter_trace slower than reference: "
-        f"{t_new:.4f}s vs {t_ref:.4f}s"
+    print(f"\nfilter_trace: per-access {t_ref * 1e3:.1f} ms, "
+          f"run-folded {t_new * 1e3:.1f} ms (x{speedup:.2f})")
+    assert speedup >= 1.5, (
+        f"run-folded filter_trace only x{speedup:.2f} faster than the per-access "
+        f"walk ({t_new:.4f}s vs {t_ref:.4f}s); expected at least x1.5"
     )

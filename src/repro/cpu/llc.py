@@ -92,45 +92,67 @@ def filter_trace(trace: AccessTrace, cfg: LlcConfig) -> LlcResult:
     Misses become memory reads (write-allocate fetches stores too);
     dirty evictions become memory writes with a zero instruction gap.
 
-    The sequential LRU walk only records the misses (gap + line) and
-    the dirty evictions; the miss/write-back interleave — positions,
-    write flags, zero gaps — is assembled afterwards with vectorized
-    NumPy.  The per-access work on the hit path (the common case) is
-    exactly the dict bookkeeping; the miss path does two list appends
-    instead of four.  ``benchmarks/bench_llc_filter.py`` guards this
-    against the naive append-per-access implementation.
+    Exact run folding keeps the sequential LRU walk short.  An access to
+    the line its set touched last is a hit that leaves the LRU order as
+    it is; its only effect is to OR its write flag into that line's
+    dirty bit, and no other line of the set is touched until the run of
+    such re-hits ends, so nothing can be evicted inside it.  A stable
+    argsort by set index lines each set's accesses up in program order;
+    a *run head* is an access whose line differs from the previous one
+    of its set, and ``np.logical_or.reduceat`` folds each run's write
+    flags onto its head.  Only the heads walk the per-set dicts (the
+    :class:`Llc` bookkeeping), in program order, recording each miss's
+    access index; miss gaps are differences of the gap prefix sum at
+    those indices, and the miss/write-back interleave is assembled with
+    vectorized NumPy.  :class:`Llc` stays the per-access reference;
+    ``benchmarks/bench_llc_filter.py`` and ``tests/test_llc.py`` check
+    the two agree bit for bit.
     """
-    cache = Llc(cfg)
-    ways = cache.ways
-    sets = cache._sets
-    mask = cache.num_sets - 1
-    gaps = trace.gaps.tolist()
-    lines = trace.lines.tolist()
-    writes = trace.writes.tolist()
-    miss_gaps: list[int] = []  #: instructions since the previous miss
-    miss_lines: list[int] = []
+    n = len(trace)
+    mask = cfg.sets - 1
+    lines = trace.lines
+    # the smallest unsigned key lets NumPy's stable sort use radix sort
+    order = np.argsort((lines & mask).astype(np.min_scalar_type(mask)), kind="stable")
+    by_set = lines[order]
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = by_set[1:] != by_set[:-1]
+    starts = np.flatnonzero(new_run)
+    # scatter run heads (and each run's folded write flag) back to
+    # program order
+    head = np.zeros(n, dtype=bool)
+    head[order[starts]] = True
+    run_write = np.zeros(n, dtype=bool)
+    run_write[order[starts]] = np.logical_or.reduceat(trace.writes[order], starts)
+    heads = np.flatnonzero(head)
+
+    ways = cfg.ways
+    sets: list[dict[int, bool]] = [dict() for _ in range(cfg.sets)]
+    miss_heads: list[int] = []  #: run-head number of each miss
     wb_seq: list[int] = []  #: miss sequence number each write-back follows
     wb_lines: list[int] = []
-    pending = 0
-    for gap, line, wr in zip(gaps, lines, writes):
-        pending += gap
+    for k, line, wr in zip(
+        range(len(heads)), lines[heads].tolist(), run_write[heads].tolist()
+    ):
         s = sets[line & mask]
         if line in s:
             dirty = s.pop(line)
             s[line] = dirty or wr
             continue
-        miss_gaps.append(pending)
-        miss_lines.append(line)
-        pending = 0
+        miss_heads.append(k)
         if len(s) >= ways:
             vline = next(iter(s))
             vdirty = s.pop(vline)
             if vdirty:
-                wb_seq.append(len(miss_gaps) - 1)
+                wb_seq.append(len(miss_heads) - 1)
                 wb_lines.append(vline)
         s[line] = wr
-    n_miss = len(miss_gaps)
+    n_miss = len(miss_heads)
     n_wb = len(wb_seq)
+    miss_at = heads[np.asarray(miss_heads, dtype=np.int64)]
+    elapsed = np.cumsum(trace.gaps, dtype=np.int64)
+    at_miss = elapsed[miss_at]
+    total = int(elapsed[-1]) if n else 0
+    tail = total - (int(at_miss[-1]) if n_miss else 0) + trace.tail_instructions
     wseq = np.asarray(wb_seq, dtype=np.int64)
     # interleave: each write-back lands right after the miss that evicted
     # it, so miss m shifts right by the number of earlier write-backs
@@ -138,21 +160,12 @@ def filter_trace(trace: AccessTrace, cfg: LlcConfig) -> LlcResult:
         wseq, np.arange(n_miss, dtype=np.int64), side="left"
     )
     pos_wb = pos_miss[wseq] + 1
-    total = n_miss + n_wb
-    out_gaps = np.zeros(total, dtype=np.int64)
-    out_lines = np.empty(total, dtype=np.int64)
-    out_writes = np.zeros(total, dtype=bool)
-    out_gaps[pos_miss] = np.asarray(miss_gaps, dtype=np.int64)
-    out_lines[pos_miss] = np.asarray(miss_lines, dtype=np.int64)
+    out_gaps = np.zeros(n_miss + n_wb, dtype=np.int64)
+    out_lines = np.empty(n_miss + n_wb, dtype=np.int64)
+    out_writes = np.zeros(n_miss + n_wb, dtype=bool)
+    out_gaps[pos_miss] = np.diff(at_miss, prepend=np.int64(0))
+    out_lines[pos_miss] = lines[miss_at]
     out_lines[pos_wb] = np.asarray(wb_lines, dtype=np.int64)
     out_writes[pos_wb] = True
-    cache.accesses = len(lines)
-    cache.misses = n_miss
-    cache.writebacks = n_wb
-    mem = AccessTrace(
-        out_gaps,
-        out_lines,
-        out_writes,
-        tail_instructions=pending + trace.tail_instructions,
-    )
-    return LlcResult(mem, len(lines), n_miss, n_wb)
+    mem = AccessTrace(out_gaps, out_lines, out_writes, tail_instructions=tail)
+    return LlcResult(mem, n, n_miss, n_wb)

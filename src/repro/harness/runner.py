@@ -15,10 +15,11 @@ of looping, a driver *declares* its grid as :class:`RunSpec` points on a
   preserving the sequential behaviour bit for bit — determinism is
   seeded, so parallel and sequential execution produce identical
   results);
-* before fanning out, the parent **prewarms the trace plane**
-  (:mod:`~repro.harness.trace_plane`): every unique memory trace is
-  materialized once as ``.npy`` artifacts that workers memory-map
-  instead of regenerating per process;
+* before simulating a plan of more than one uncached spec, the parent
+  **prewarms the trace plane** (:mod:`~repro.harness.trace_plane`):
+  every unique memory trace is materialized once as ``.npy`` artifacts
+  that workers memory-map instead of regenerating per process, grouped
+  by CPU trace so each CPU trace is synthesized once per plan;
 * specs are dispatched in **chunks** of K per future (auto-sized from
   plan size and worker count, or pinned via
   ``ExecutionPolicy.chunk_size`` / ``REPRO_CHUNK``), amortizing
@@ -679,7 +680,7 @@ class RunnerStats:
     cache_evictions: int = 0  #: entries removed by the end-of-plan size-quota GC
     chunks: int = 0  #: worker dispatches (futures) the plan's specs were batched into
     cache_bytes_written: int = 0  #: bytes persisted to disk (results + trace plane)
-    prewarm_s: float = 0.0  #: parent-side trace-plane prewarm before fan-out
+    prewarm_s: float = 0.0  #: trace-plane prewarm before the plan's simulations
     pool_spinup_s: float = 0.0  #: ProcessPoolExecutor construction time
 
     @property
@@ -1230,30 +1231,35 @@ class _PlanRunner:
 
 
 def prewarm_traces(specs: Iterable[RunSpec]) -> None:
-    """Materialize every unique memory trace once, before fanning out.
+    """Materialize every unique memory trace once, ahead of the simulations.
 
     ``SpecProfile.memory_trace`` persists traces through the trace plane
     (:mod:`~repro.harness.trace_plane`), so generating them here, in the
     parent, means every worker memory-maps the shared ``.npy`` artifacts
-    instead of regenerating identical traces per process.  Failures are
-    swallowed: the worker that actually needs the trace will re-raise
+    instead of regenerating identical traces per process.  Traces are
+    visited grouped by CPU trace, so every LLC geometry of one CPU trace
+    is filtered back to back and ``SpecProfile.cpu_trace``'s one-entry
+    memo synthesizes each CPU trace once per plan.  Failures are
+    swallowed: the spec that actually needs the trace will re-raise
     with proper per-spec attribution.
     """
     from ..workloads import profile as _profile
+    from ..workloads.spec_profiles import release_cpu_trace
 
-    seen: set[tuple] = set()
-    for spec in specs:
-        for name in spec.workloads:
-            ident = (name, spec.instructions, spec.seed, spec.trace_llc)
-            if ident in seen:
-                continue
-            seen.add(ident)
-            try:
-                _profile(name).memory_trace(
-                    spec.instructions, spec.trace_llc, seed=spec.seed
-                )
-            except Exception:
-                pass
+    idents = dict.fromkeys(
+        (name, spec.instructions, spec.seed, spec.trace_llc)
+        for spec in specs
+        for name in spec.workloads
+    )
+    # stable sort on the CPU-trace identity: declaration order within it
+    for name, instructions, seed, llc in sorted(idents, key=lambda i: i[:3]):
+        try:
+            _profile(name).memory_trace(instructions, llc, seed=seed)
+        except Exception:
+            pass
+    # the simulations read memory traces only: do not pin the last CPU
+    # trace through them
+    release_cpu_trace()
 
 
 def execute_plan(
@@ -1323,14 +1329,14 @@ def execute_plan(
     interrupted: str | None = None
     if todo:
         runner = _PlanRunner(todo, jobs, policy, cache, stats)
-        if jobs > 1 and len(todo) > 1:
-            # materialize shared trace artifacts in the parent so workers
-            # mmap them instead of regenerating one private copy each
-            # (a one-miss plan skips the pool entirely: run_sequential is
-            # the whole fan-out, and pool spin-up would dominate it)
+        if len(todo) > 1:
+            # materialize every trace up front, grouped by CPU trace, so
+            # each CPU trace is synthesized once and pool workers mmap the
+            # shared artifacts instead of regenerating one copy each
             t_warm = time.perf_counter()
             prewarm_traces(spec for _, spec in todo)
             stats.prewarm_s = time.perf_counter() - t_warm
+        if jobs > 1 and len(todo) > 1:
             runner.run_parallel()
         else:
             runner.run_sequential([k for k, _ in todo])

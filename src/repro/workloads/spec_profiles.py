@@ -18,7 +18,9 @@ survives one more window) grows with ``idle_instr``.
 Profiles expose :meth:`SpecProfile.cpu_trace` (CPU level) and
 :meth:`SpecProfile.memory_trace` (filtered through a given LLC); the
 latter memoizes per (instructions, seed, LLC geometry) because filtering
-outcomes are timing-independent.
+outcomes are timing-independent. The former keeps only the last trace it
+synthesized, which is all a plan needs when it filters each CPU trace
+through all its LLC geometries back to back.
 """
 
 from __future__ import annotations
@@ -38,15 +40,29 @@ __all__ = [
     "NON_INTENSIVE",
     "profile",
     "clear_trace_cache",
+    "release_cpu_trace",
 ]
 
 #: module-level memo of filtered memory traces (pure-function results)
 _MEM_TRACE_CACHE: dict[tuple, AccessTrace] = {}
 
 
+#: the last CPU trace synthesized, keyed on (name, model, instructions,
+#: seed).  One entry is enough when a plan filters every LLC geometry of
+#: one CPU trace back to back (``prewarm_traces``); an unbounded memo
+#: would pin every CPU trace of a sweep in memory
+_CPU_TRACE_MEMO: dict[tuple, AccessTrace] = {}
+
+
+def release_cpu_trace() -> None:
+    """Drop the memoized CPU trace (filtered memory traces stay)."""
+    _CPU_TRACE_MEMO.clear()
+
+
 def clear_trace_cache() -> None:
     """Drop all memoized traces (tests use this to bound memory)."""
     _MEM_TRACE_CACHE.clear()
+    release_cpu_trace()
 
 
 @dataclass(frozen=True)
@@ -61,10 +77,22 @@ class SpecProfile:
     paper_beta: float
 
     def cpu_trace(self, instructions: int, seed: int = 0) -> AccessTrace:
-        """Generate this benchmark's CPU-level trace."""
-        return generate_trace(
-            self.model, instructions, derive_seed(seed, self.name), tag=self.name
-        )
+        """This benchmark's CPU-level trace (the last one is memoized).
+
+        The memoized arrays are read-only because several filters share
+        them.
+        """
+        key = (self.name, self.model, instructions, seed)
+        trace = _CPU_TRACE_MEMO.get(key)
+        if trace is None:
+            release_cpu_trace()  # free the last trace before making the next
+            trace = generate_trace(
+                self.model, instructions, derive_seed(seed, self.name), tag=self.name
+            )
+            for arr in (trace.gaps, trace.lines, trace.writes):
+                arr.flags.writeable = False
+            _CPU_TRACE_MEMO[key] = trace
+        return trace
 
     def trace_key(self, instructions: int, llc: LlcConfig, seed: int = 0) -> str:
         """Content fingerprint of this profile's filtered memory trace.

@@ -1,7 +1,7 @@
 """Unit + property tests for the last-level cache filter."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import LlcConfig
 from repro.cpu.llc import Llc, filter_trace
@@ -133,40 +133,88 @@ class TestFilterTrace:
 # ---------------------------------------------------------------- properties
 
 
-@given(
-    lines=st.lists(st.integers(0, 255), min_size=1, max_size=300),
-    writes_seed=st.integers(0, 2**31),
-)
-@settings(max_examples=60, deadline=None)
-def test_filter_matches_reference_model(lines, writes_seed):
-    """The streaming filter agrees with a straightforward reference LLC."""
-    rng = np.random.default_rng(writes_seed)
-    writes = rng.random(len(lines)) < 0.3
-    tr = trace_of(lines, writes=writes.tolist())
-    cfg = LlcConfig(size_bytes=4 * 1024, ways=2)  # 32 sets: evictions likely
-    res = filter_trace(tr, cfg)
-
-    # reference: explicit LRU lists
-    nsets = cfg.sets
-    sets = {s: [] for s in range(nsets)}  # list of [line, dirty], LRU first
-    expected = []  # (line, is_write)
-    for line, wr in zip(lines, writes):
-        s = sets[line % nsets]
-        entry = next((e for e in s if e[0] == line), None)
-        if entry:
-            s.remove(entry)
-            entry[1] = entry[1] or wr
-            s.append(entry)
+def reference_filter(trace: AccessTrace, cfg: LlcConfig):
+    """Per-access :meth:`Llc.access` walk: the memory trace and the cache."""
+    cache = Llc(cfg)
+    gaps, lines, writes = [], [], []
+    pending = 0
+    for gap, line, wr in zip(trace.gaps.tolist(), trace.lines.tolist(), trace.writes.tolist()):
+        pending += gap
+        miss, victim = cache.access(line, wr)
+        if not miss:
             continue
-        expected.append((line, False))
-        if len(s) >= cfg.ways:
-            victim = s.pop(0)
-            if victim[1]:
-                expected.append((victim[0], True))
-        s.append([line, wr])
+        gaps.append(pending)
+        lines.append(line)
+        writes.append(False)
+        pending = 0
+        if victim is not None:
+            gaps.append(0)
+            lines.append(victim)
+            writes.append(True)
+    mem = AccessTrace.from_lists(
+        gaps, lines, writes, tail_instructions=pending + trace.tail_instructions
+    )
+    return mem, cache
 
-    got = list(zip(res.memory_trace.lines.tolist(), res.memory_trace.writes.tolist()))
-    assert got == expected
+
+@st.composite
+def bursty_traces(draw):
+    """A geometry and a trace with repeat bursts, zero gaps and write mixes."""
+    ways = draw(st.integers(1, 8))
+    sets = 1 << draw(st.integers(0, 4))  # 1..16 sets
+    cfg = LlcConfig(size_bytes=ways * sets * 64, ways=ways)
+    # a footprint a few times the capacity: hits, misses and evictions
+    space = draw(st.integers(1, 3 * ways * sets))
+    bursts = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, space - 1),  # line
+                st.integers(1, 5),  # repeats
+                st.lists(st.integers(0, 4), min_size=5, max_size=5),  # gaps
+                st.lists(st.booleans(), min_size=5, max_size=5),  # writes
+            ),
+            max_size=80,
+        )
+    )
+    gaps, lines, writes = [], [], []
+    for line, reps, bgaps, bwrites in bursts:
+        lines += [line] * reps
+        gaps += bgaps[:reps]
+        writes += bwrites[:reps]
+    if lines and draw(st.booleans()):
+        # end on a hit: the last line again
+        lines.append(lines[-1])
+        gaps.append(draw(st.integers(0, 4)))
+        writes.append(draw(st.booleans()))
+    tail = draw(st.integers(0, 10))
+    return cfg, AccessTrace.from_lists(gaps, lines, writes, tail_instructions=tail)
+
+
+@given(case=bursty_traces())
+@example(case=(LlcConfig(size_bytes=64, ways=1), AccessTrace.from_lists([], [], [], 3)))
+@example(
+    case=(
+        LlcConfig(size_bytes=2 * 64, ways=1),
+        AccessTrace.from_lists([1, 0, 2, 0], [0, 1, 0, 0], [True, False, False, True], 5),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_filter_matches_reference_model(case):
+    """filter_trace's full result equals a per-access ``Llc.access`` walk."""
+    cfg, tr = case
+    res = filter_trace(tr, cfg)
+    ref, cache = reference_filter(tr, cfg)
+    mt = res.memory_trace
+    for field in ("gaps", "lines", "writes"):
+        got, want = getattr(mt, field), getattr(ref, field)
+        assert got.dtype == want.dtype, field
+        assert np.array_equal(got, want), field
+    assert mt.tail_instructions == ref.tail_instructions
+    assert (res.accesses, res.misses, res.writebacks) == (
+        cache.accesses,
+        cache.misses,
+        cache.writebacks,
+    )
 
 
 @given(lines=st.lists(st.integers(0, 10_000), min_size=1, max_size=200))

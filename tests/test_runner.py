@@ -7,6 +7,7 @@ the REPRO_JOBS resolution rules.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,9 @@ from repro.harness import (
     run_mix,
 )
 from repro.harness.cache import ArtifactCache, NullCache
+from repro.harness.quarantine import result_digest
 from repro.harness.runner import clear_result_memo
+from repro.workloads import profile, spec_profiles
 from repro.workloads.spec_profiles import clear_trace_cache
 
 #: deliberately smaller than the smoke scale: this file runs many plans
@@ -171,6 +174,66 @@ class TestExecutePlan:
         r2 = run_mix("WL6", cfg, TINY, jobs=1)
         assert r1.weighted_speedup == r2.weighted_speedup
         assert r1.result.cores == r2.result.cores
+
+
+class TestOneSynthesisPerPlan:
+    """A plan synthesizes each CPU trace once, however many LLC sizes filter it."""
+
+    @staticmethod
+    def _specs() -> list:
+        # LLC-major declaration order, as the LLC-size sweeps declare it
+        specs = []
+        for llc_bytes in (1 << 20, 2 << 20):
+            cfg = SystemConfig.single_core().with_llc_size(llc_bytes)
+            specs += [RunSpec.benchmark(name, cfg, TINY) for name in ("gcc", "lbm")]
+        return specs
+
+    @pytest.fixture
+    def synth_calls(self, monkeypatch):
+        """Count ``generate_trace`` calls per (profile, instructions, seed)."""
+        calls = Counter()
+        real = spec_profiles.generate_trace
+
+        def counting(model, instructions, seed, *, tag):
+            calls[(tag, instructions, seed)] += 1
+            return real(model, instructions, seed, tag=tag)
+
+        monkeypatch.setattr(spec_profiles, "generate_trace", counting)
+        clear_trace_cache()
+        yield calls
+        clear_trace_cache()
+
+    def test_plan_synthesizes_each_cpu_trace_once(self, synth_calls, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "plan"))
+        specs = self._specs()
+        results = execute_plan(specs, jobs=1)
+        assert len(synth_calls) == 2
+        assert set(synth_calls.values()) == {1}
+        assert last_stats().prewarm_s > 0
+        # the prewarm releases the last CPU trace before the simulations
+        profile("lbm").cpu_trace(TINY.instructions, seed=TINY.seed)
+        assert sum(synth_calls.values()) == 3
+
+        # the same specs, each run alone with every trace memo cleared first
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alone"))
+        for spec in specs:
+            clear_trace_cache()
+            clear_result_memo()
+            alone = execute_plan([spec], jobs=1)[spec]
+            assert result_digest(alone) == result_digest(results[spec])
+
+    def test_memo_is_read_only_and_cleared(self, synth_calls):
+        gcc = profile("gcc")
+        trace = gcc.cpu_trace(TINY.instructions, seed=TINY.seed)
+        assert gcc.cpu_trace(TINY.instructions, seed=TINY.seed) is trace
+        for arr in (trace.gaps, trace.lines, trace.writes):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            trace.lines[0] = 0
+        assert sum(synth_calls.values()) == 1
+        clear_trace_cache()
+        assert gcc.cpu_trace(TINY.instructions, seed=TINY.seed) is not trace
+        assert sum(synth_calls.values()) == 2
 
 
 class TestAloneIpc:
