@@ -13,8 +13,7 @@ makes the comparison explicit, in two layers:
   auto-refresh at the same density. As density grows the refresh tax
   grows, and the zoo shows which schemes keep paying it.
 
-Run as a script (``python benchmarks/bench_refresh_schemes.py``) to
-append a ``zoo_sweep`` record to ``BENCH_runner.json``.
+The full zoo grid is ``python -m repro sweep``.
 """
 
 from conftest import run_once
@@ -110,64 +109,3 @@ def test_zoo_policy_density_sweep(benchmark, scale, bench_benchmarks):
         > cells[("auto_1x", 8)]["refresh_fraction"]
     )
 
-
-def main() -> int:
-    """Full zoo grid; appends a ``zoo_sweep`` record to BENCH_runner.json."""
-    import argparse
-    import json
-    import os
-    import time
-    from pathlib import Path
-
-    from repro.harness import RunScale, ZOO_DENSITIES
-
-    ap = argparse.ArgumentParser(description=main.__doc__)
-    ap.add_argument("--scale", default="smoke", choices=("smoke", "default", "paper"))
-    ap.add_argument("--benchmarks", nargs="+",
-                    default=["lbm", "libquantum", "bzip2", "gobmk"])
-    ap.add_argument("--jobs", type=int, default=None)
-    ap.add_argument("--out", default="BENCH_runner.json",
-                    help="timing-record file (appended to)")
-    args = ap.parse_args()
-
-    scale = RunScale.named(args.scale)
-    t0 = time.perf_counter()
-    rows = zoo_sweep(tuple(args.benchmarks), scale, jobs=args.jobs)
-    wall = time.perf_counter() - t0
-    print(render_zoo(rows))
-    record = {
-        "bench": "zoo_sweep",
-        "scale": args.scale,
-        "cpus": os.cpu_count(),
-        "benchmarks": args.benchmarks,
-        "densities_gbit": list(ZOO_DENSITIES),
-        "points": len(rows),
-        "wall_s": round(wall, 2),
-        "matrix": [
-            {
-                "policy": m["policy"],
-                "density_gbit": m["density_gbit"],
-                "norm_ipc": round(m["norm_ipc"], 4),
-                "norm_energy": round(m["norm_energy"], 4),
-                "refresh_fraction": round(m["refresh_fraction"], 4),
-            }
-            for m in sorted(
-                zoo_matrix(rows), key=lambda m: (m["density_gbit"], m["policy"])
-            )
-        ],
-    }
-    out = Path(args.out)
-    history = []
-    if out.exists():
-        try:
-            history = json.loads(out.read_text())
-        except (json.JSONDecodeError, OSError):
-            history = []
-    history.append(record)
-    out.write_text(json.dumps(history, indent=2) + "\n")
-    print(f"recorded -> {out} ({len(rows)} points, {wall:.1f}s)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -81,8 +81,6 @@ def _runner_opts(args) -> int | None:
         overrides["keep_going"] = False
     if getattr(args, "audit", False):
         overrides["audit"] = True
-    if getattr(args, "chunk", None) is not None:
-        overrides["chunk_size"] = args.chunk if args.chunk > 0 else None
     set_execution_policy(dataclasses.replace(policy, **overrides) if overrides else policy)
     return getattr(args, "jobs", None)
 
@@ -530,10 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--no-cache", action="store_true",
                         help="disable the persistent artifact cache "
                              "(REPRO_CACHE_DIR) for this invocation")
-        sp.add_argument("--chunk", type=int, default=None, metavar="K",
-                        help="specs batched per worker dispatch "
-                             "(default: REPRO_CHUNK or auto-sized from "
-                             "plan size and --jobs; 0 restores auto)")
         sp.add_argument("--spec-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="per-spec wall-clock limit; a hung worker is "

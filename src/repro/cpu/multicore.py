@@ -13,6 +13,7 @@ from typing import Callable
 
 from ..config import AddressMapScheme, SystemConfig
 from ..stats.collectors import ControllerStats
+from ..stats.refresh_analysis import rank_events
 from ..telemetry import MetricsRegistry, TraceSink
 from ..workloads.trace import AccessTrace
 from ..dram.memory_system import MemorySystem
@@ -177,11 +178,20 @@ def run_cores(
         for c in cores
     )
     rop_summary = memory.rop_summary()
+    events = None
+    if record_events:
+        snap = memory.sink.snapshot()
+        org = config.organization
+        events = {
+            (ch, rk): rank_events(snap, ch, rk)
+            for ch in range(org.channels)
+            for rk in range(org.ranks)
+        }
     return MulticoreResult(
         cores=results,
         stats=stats,
         end_cycle=memory.now,
         rop_summary=rop_summary,
-        events=memory.recorder.all_events() if memory.recorder is not None else None,
+        events=events,
         metrics=MetricsRegistry.from_run(stats, results, rop_summary).snapshot(),
     )

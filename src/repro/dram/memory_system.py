@@ -11,7 +11,7 @@ from typing import Callable
 
 from ..config import SystemConfig
 from ..events import EventQueue
-from ..stats.collectors import ControllerStats, EventRecorder
+from ..stats.collectors import ControllerStats
 from ..telemetry import NULL_SINK, Category, TraceSink
 from .controller import MemoryController
 from .request import ReqKind, Request
@@ -32,8 +32,9 @@ class MemorySystem:
         analyses (costs memory proportional to traffic).  Implemented on
         the telemetry sink: a grow-policy :class:`TraceSink` collecting the
         REQUEST and REFRESH categories is created (unless ``sink`` is
-        given, in which case those categories are enabled on it) and
-        ``self.recorder`` exposes the classic per-rank view of it.
+        given, in which case those categories are enabled on it);
+        :func:`repro.stats.refresh_analysis.rank_events` reads the
+        per-rank view back from ``self.sink.snapshot()``.
     sink:
         Telemetry sink receiving cycle-level events from the controller,
         refresh manager and ROP engine; defaults to the no-op sink.
@@ -51,6 +52,7 @@ class MemorySystem:
         sink: TraceSink | None = None,
     ) -> None:
         self.config = config
+        self.record_events = record_events
         self.events = events if events is not None else EventQueue()
         if sink is not None:
             self.sink = sink
@@ -72,15 +74,6 @@ class MemorySystem:
 
             self.rop = RopEngine(config)
             self.rop.set_sink(self.sink)
-        self.recorder = (
-            EventRecorder(
-                config.organization.channels,
-                config.organization.ranks,
-                sink=self.sink,
-            )
-            if record_events
-            else None
-        )
         self.controller = MemoryController(
             config, self.events, rop=self.rop, sink=self.sink
         )

@@ -22,8 +22,8 @@ of looping, a driver *declares* its grid as :class:`RunSpec` points on a
   by CPU trace so each CPU trace is synthesized once per plan;
 * specs are dispatched in **chunks** of K per future (auto-sized from
   plan size and worker count, or pinned via
-  ``ExecutionPolicy.chunk_size`` / ``REPRO_CHUNK``), amortizing
-  submission and result-pipe overhead on large plans.
+  ``ExecutionPolicy.chunk_size``), amortizing submission and
+  result-pipe overhead on large plans.
 
 Execution is **fault tolerant**: outcomes are tracked per *spec*, never
 per chunk, so one worker crash, hang or pathological config loses only
@@ -526,16 +526,6 @@ def _env_int(name: str, default: int) -> int:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _env_opt_int(name: str, default: int | None) -> int | None:
-    raw = os.environ.get(name, "").strip()
-    if not raw or raw.lower() == "auto":
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer or 'auto', got {raw!r}") from None
-
-
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """Fault-tolerance knobs for one :func:`execute_plan` call.
@@ -566,8 +556,7 @@ class ExecutionPolicy:
     @classmethod
     def from_env(cls) -> "ExecutionPolicy":
         """Policy from ``REPRO_RETRIES`` / ``REPRO_RETRY_BACKOFF`` /
-        ``REPRO_SPEC_TIMEOUT`` / ``REPRO_KEEP_GOING`` / ``REPRO_AUDIT`` /
-        ``REPRO_CHUNK``."""
+        ``REPRO_SPEC_TIMEOUT`` / ``REPRO_KEEP_GOING`` / ``REPRO_AUDIT``."""
         backoff = _env_float("REPRO_RETRY_BACKOFF", cls.backoff_s)
         return cls(
             max_attempts=_env_int("REPRO_RETRIES", cls.max_attempts),
@@ -575,7 +564,6 @@ class ExecutionPolicy:
             spec_timeout_s=_env_float("REPRO_SPEC_TIMEOUT", None),
             keep_going=_env_flag("REPRO_KEEP_GOING"),
             audit=_env_flag("REPRO_AUDIT"),
-            chunk_size=_env_opt_int("REPRO_CHUNK", None),
         )
 
 

@@ -1,13 +1,12 @@
 """Statistics collection and the paper's offline refresh analyses."""
 
-from .collectors import ControllerStats, EventRecorder, RankEvents
+from .collectors import ControllerStats, RankEvents
 from .invariants import InvariantViolation, RequestLog, check_run
 from .metrics import geomean, normalize, percent_change, speedup, weighted_speedup
-from .refresh_analysis import WindowAnalysis, analyze_rank, blocked_per_refresh
+from .refresh_analysis import WindowAnalysis, analyze_rank, blocked_per_refresh, rank_events
 
 __all__ = [
     "ControllerStats",
-    "EventRecorder",
     "RankEvents",
     "InvariantViolation",
     "RequestLog",
@@ -20,4 +19,5 @@ __all__ = [
     "WindowAnalysis",
     "analyze_rank",
     "blocked_per_refresh",
+    "rank_events",
 ]

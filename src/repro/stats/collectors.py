@@ -1,14 +1,13 @@
-"""Counters and event recorders populated during a simulation run.
+"""Counters and per-rank event views populated during a simulation run.
 
 :class:`ControllerStats` holds the scalar counters every run produces
 (request mix, row-buffer outcomes, latencies, refresh and SRAM activity);
-the energy model and the reporting harness read them. :class:`EventRecorder`
+the energy model and the reporting harness read them. :class:`RankEvents`
 is the per-rank timestamp view the paper's offline analyses (Figs. 2–4,
-Table I) consume; since the telemetry subsystem landed it is a thin,
-**deprecated** shim over :class:`~repro.telemetry.TraceSink` — events are
-stored once, in the sink's columnar buffer, and materialized into
-:class:`RankEvents` lists on demand.  New code should query the sink
-directly (``sink.select(category=..., kind=...)``).
+Table I) consume; the events themselves are stored once, in the
+telemetry :class:`~repro.telemetry.TraceSink`, and
+:func:`repro.stats.refresh_analysis.rank_events` builds the view from a
+sink snapshot.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..telemetry import Category, Kind, TraceSink
-
-__all__ = ["ControllerStats", "EventRecorder", "RankEvents"]
+__all__ = ["ControllerStats", "RankEvents"]
 
 
 @dataclass
@@ -105,7 +102,8 @@ class ControllerStats:
 
 @dataclass
 class RankEvents:
-    """Per-rank event timestamps captured by :class:`EventRecorder`."""
+    """Per-rank event timestamps, as plain ``int`` lists (NumPy scalars
+    would change the pickled results and so their digests)."""
 
     read_arrivals: list[int] = field(default_factory=list)
     write_arrivals: list[int] = field(default_factory=list)
@@ -121,65 +119,3 @@ class RankEvents:
             "refresh_ends": np.asarray(self.refresh_ends, dtype=np.int64),
         }
 
-
-class EventRecorder:
-    """Per-rank timestamp view for offline refresh analysis.
-
-    .. deprecated::
-        The recorder is now a compatibility shim over
-        :class:`~repro.telemetry.TraceSink`; its constructor and the
-        ``on_request`` / ``on_refresh`` / ``rank_events`` / ``all_events``
-        API are unchanged, but storage is the sink's columnar buffer.
-        Query the sink directly in new code.
-    """
-
-    def __init__(self, channels: int, ranks: int, sink: TraceSink | None = None) -> None:
-        self.channels = channels
-        self.ranks = ranks
-        if sink is None:
-            sink = TraceSink(
-                capacity=1 << 12,
-                categories={Category.REQUEST, Category.REFRESH},
-                policy="grow",
-            )
-        self.sink = sink
-
-    def on_request(self, channel: int, rank: int, cycle: int, is_read: bool) -> None:
-        """Record a demand request arrival."""
-        kind = Kind.READ_ARRIVAL if is_read else Kind.WRITE_ARRIVAL
-        self.sink.emit(Category.REQUEST, kind, cycle, channel, rank)
-
-    def on_refresh(self, channel: int, rank: int, start: int, end: int) -> None:
-        """Record one refresh lock window (whole-rank: b=-1)."""
-        self.sink.emit(
-            Category.REFRESH, Kind.REFRESH_WINDOW, start, channel, rank, a=end, b=-1
-        )
-
-    def rank_events(self, channel: int = 0, rank: int = 0) -> RankEvents:
-        """Events of one rank, rebuilt from the sink's columns."""
-        return self._materialize(self.sink.snapshot(), channel, rank)
-
-    def all_events(self) -> dict[tuple[int, int], RankEvents]:
-        """All per-rank event records."""
-        snap = self.sink.snapshot()
-        return {
-            (ch, rk): self._materialize(snap, ch, rk)
-            for ch in range(self.channels)
-            for rk in range(self.ranks)
-        }
-
-    def _materialize(
-        self, snap: dict[str, np.ndarray], channel: int, rank: int
-    ) -> RankEvents:
-        here = (snap["channel"] == channel) & (snap["rank"] == rank)
-
-        def cycles(kind: Kind) -> np.ndarray:
-            return snap["cycle"][here & (snap["kind"] == int(kind))]
-
-        windows = here & (snap["kind"] == int(Kind.REFRESH_WINDOW))
-        return RankEvents(
-            read_arrivals=cycles(Kind.READ_ARRIVAL).tolist(),
-            write_arrivals=cycles(Kind.WRITE_ARRIVAL).tolist(),
-            refresh_starts=snap["cycle"][windows].tolist(),
-            refresh_ends=snap["a"][windows].tolist(),
-        )

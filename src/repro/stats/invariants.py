@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dram.request import ReqKind, Request, ServiceKind
+from .refresh_analysis import rank_events
 
 __all__ = ["InvariantViolation", "RequestLog", "check_run"]
 
@@ -153,8 +154,8 @@ def _check_bus_exclusive(log: RequestLog, burst: int) -> None:
                 )
 
 
-def _refresh_locks(memory_system) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
-    """Lock windows ``(start, end, bank)`` per rank, from the telemetry sink.
+def _refresh_locks(snap) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    """Lock windows ``(start, end, bank)`` per rank, from a sink snapshot.
 
     ``bank`` is -1 for an all-bank refresh (the whole rank freezes); a
     per-bank refresh freezes only the recorded bank, so reads served by
@@ -162,7 +163,6 @@ def _refresh_locks(memory_system) -> dict[tuple[int, int], list[tuple[int, int, 
     """
     from ..telemetry import Category, Kind
 
-    snap = memory_system.recorder.sink.snapshot()
     sel = (snap["cat"] == int(Category.REFRESH)) & (
         snap["kind"] == int(Kind.REFRESH_WINDOW)
     )
@@ -224,8 +224,14 @@ def check_run(
     _check_causality(log)
     _check_reads_complete(log)
     _check_bus_exclusive(log, t.burst)
-    if memory_system.recorder is not None:
-        events = memory_system.recorder.all_events()
-        _check_lock_exclusion(log, _refresh_locks(memory_system))
+    if memory_system.record_events:
+        snap = memory_system.sink.snapshot()
+        _check_lock_exclusion(log, _refresh_locks(snap))
         if check_refresh and memory_system.config.refresh.enabled:
+            org = memory_system.config.organization
+            events = {
+                (ch, rk): rank_events(snap, ch, rk)
+                for ch in range(org.channels)
+                for rk in range(org.ranks)
+            }
             _check_refresh_rate(events, t.refi, memory_system.stats.end_cycle)

@@ -1,10 +1,9 @@
 """Offline refresh/traffic correlation analysis (Section III of the paper).
 
 Operates on per-rank event timestamps — the
-:class:`~repro.stats.collectors.RankEvents` view that
-:class:`~repro.stats.collectors.EventRecorder` materializes from the
-telemetry :class:`~repro.telemetry.TraceSink` — and reproduces, fully
-vectorized with ``numpy.searchsorted``:
+:class:`~repro.stats.collectors.RankEvents` view that :func:`rank_events`
+builds from a telemetry :class:`~repro.telemetry.TraceSink` snapshot —
+and reproduces, fully vectorized with ``numpy.searchsorted``:
 
 * **Fig. 2** — fraction of *non-blocking* refreshes at 1×/2×/4× examined
   windows (no read arrives within the window after the refresh start);
@@ -26,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..telemetry import Kind
 from .collectors import RankEvents
 
-__all__ = ["WindowAnalysis", "analyze_rank", "blocked_per_refresh", "merge_rank_events"]
+__all__ = ["WindowAnalysis", "analyze_rank", "blocked_per_refresh", "rank_events"]
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,20 @@ def blocked_per_refresh(events: RankEvents) -> np.ndarray:
     return _count_between(reads, arr["refresh_starts"], arr["refresh_ends"])
 
 
-def merge_rank_events(records: list[RankEvents]) -> RankEvents:
-    """Merge several ranks' events into one record (whole-system view)."""
-    merged = RankEvents()
-    for ev in records:
-        merged.read_arrivals.extend(ev.read_arrivals)
-        merged.write_arrivals.extend(ev.write_arrivals)
-        merged.refresh_starts.extend(ev.refresh_starts)
-        merged.refresh_ends.extend(ev.refresh_ends)
-    merged.read_arrivals.sort()
-    merged.write_arrivals.sort()
-    order = np.argsort(np.asarray(merged.refresh_starts, dtype=np.int64), kind="stable")
-    merged.refresh_starts = [merged.refresh_starts[i] for i in order]
-    merged.refresh_ends = [merged.refresh_ends[i] for i in order]
-    return merged
+def rank_events(snapshot: dict[str, np.ndarray], channel: int, rank: int) -> RankEvents:
+    """One rank's request arrivals and refresh lock windows, read from a
+    :meth:`TraceSink.snapshot() <repro.telemetry.TraceSink.snapshot>`.
+
+    The sink must have collected the REQUEST and REFRESH categories
+    (``MemorySystem(record_events=True)`` enables both).
+    """
+    here = (snapshot["channel"] == channel) & (snapshot["rank"] == rank)
+    kind = snapshot["kind"]
+    windows = here & (kind == int(Kind.REFRESH_WINDOW))
+    return RankEvents(
+        read_arrivals=snapshot["cycle"][here & (kind == int(Kind.READ_ARRIVAL))].tolist(),
+        write_arrivals=snapshot["cycle"][here & (kind == int(Kind.WRITE_ARRIVAL))].tolist(),
+        refresh_starts=snapshot["cycle"][windows].tolist(),
+        refresh_ends=snapshot["a"][windows].tolist(),
+    )
+

@@ -15,7 +15,6 @@ import pytest
 
 from repro import SystemConfig
 from repro.harness import (
-    ConfigError,
     ExecutionPolicy,
     RunScale,
     RunSpec,
@@ -176,12 +175,3 @@ class TestChunkSizing:
             policy=policy(chunk_size=4, spec_timeout_s=600.0),
         )
         assert last_stats().chunks == len(specs)
-
-    def test_chunk_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK", "5")
-        assert ExecutionPolicy.from_env().chunk_size == 5
-        monkeypatch.setenv("REPRO_CHUNK", "auto")
-        assert ExecutionPolicy.from_env().chunk_size is None
-        monkeypatch.setenv("REPRO_CHUNK", "lots")
-        with pytest.raises(ConfigError):
-            ExecutionPolicy.from_env()

@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from repro.stats.collectors import ControllerStats, EventRecorder, RankEvents
+from repro import SystemConfig
+from repro.cpu import run_cores
+from repro.stats.collectors import ControllerStats, RankEvents
+from repro.stats.refresh_analysis import rank_events
+from repro.telemetry import Category, Kind, TraceSink
+from repro.workloads.trace import AccessTrace
 
 
 class TestControllerStats:
@@ -41,21 +46,24 @@ class TestControllerStats:
         assert a.end_cycle == 100  # max, not sum
 
 
-class TestEventRecorder:
+class TestRankEvents:
     def test_per_rank_separation(self):
-        rec = EventRecorder(channels=1, ranks=2)
-        rec.on_request(0, 0, 10, is_read=True)
-        rec.on_request(0, 1, 20, is_read=False)
-        rec.on_refresh(0, 1, 100, 380)
-        ev0 = rec.rank_events(0, 0)
-        ev1 = rec.rank_events(0, 1)
+        sink = TraceSink(capacity=64, categories={Category.REQUEST, Category.REFRESH})
+        sink.emit(Category.REQUEST, Kind.READ_ARRIVAL, 10, 0, 0)
+        sink.emit(Category.REQUEST, Kind.WRITE_ARRIVAL, 20, 0, 1)
+        sink.emit(Category.REFRESH, Kind.REFRESH_WINDOW, 100, 0, 1, a=380, b=-1)
+        snap = sink.snapshot()
+        ev0 = rank_events(snap, 0, 0)
+        ev1 = rank_events(snap, 0, 1)
         assert ev0.read_arrivals == [10] and ev0.write_arrivals == []
         assert ev1.write_arrivals == [20]
         assert ev1.refresh_starts == [100] and ev1.refresh_ends == [380]
 
     def test_all_events_keys(self):
-        rec = EventRecorder(channels=2, ranks=2)
-        assert set(rec.all_events()) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        """A recorded run carries one view per (channel, rank), idle or not."""
+        trace = AccessTrace.from_lists([4] * 200, list(range(200)), [False] * 200)
+        r = run_cores([trace], SystemConfig.quad_core(), record_events=True)
+        assert set(r.events) == {(0, 0), (0, 1), (0, 2), (0, 3)}
 
     def test_arrays_snapshot(self):
         ev = RankEvents(read_arrivals=[3, 1, 2])

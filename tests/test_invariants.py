@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro import RefreshMode, SystemConfig
 from repro.dram import MemorySystem
 from repro.stats.invariants import InvariantViolation, RequestLog, check_run
+from repro.stats.refresh_analysis import rank_events
 
 workload_strategy = st.lists(
     st.tuples(
@@ -85,9 +86,8 @@ def test_per_bank_refresh_other_banks_keep_serving():
     ms, log = replay(cfg, workload)
     check_run(log, ms, check_refresh=False)
     # sanity: the run refreshed, and the windows carry the frozen bank
-    ev = ms.recorder.rank_events(0, 0)
-    assert len(ev.refresh_starts) > 0
-    snap = ms.recorder.sink.snapshot()
+    snap = ms.sink.snapshot()
+    assert len(rank_events(snap, 0, 0).refresh_starts) > 0
     banks = snap["b"][snap["kind"] == int(Kind.REFRESH_WINDOW)]
     assert (banks >= 0).all()
 

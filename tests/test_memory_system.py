@@ -4,6 +4,7 @@ behaviour at the memory level."""
 
 from repro import RefreshMode, SystemConfig
 from repro.dram import MemorySystem
+from repro.stats.refresh_analysis import rank_events
 
 
 def stream(ms, n, period=20, start_line=0):
@@ -128,7 +129,7 @@ class TestEventRecording:
         ms = MemorySystem(SystemConfig.single_core(), record_events=True)
         stream(ms, 2000)
         ms.run()
-        ev = ms.recorder.rank_events(0, 0)
+        ev = rank_events(ms.sink.snapshot(), 0, 0)
         assert len(ev.read_arrivals) == 2000
         assert len(ev.refresh_starts) == ms.stats.refreshes
         assert all(e - s == ms.controller.t.rfc for s, e in zip(ev.refresh_starts, ev.refresh_ends))

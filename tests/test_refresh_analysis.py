@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stats.collectors import RankEvents
-from repro.stats.refresh_analysis import (
-    analyze_rank,
-    blocked_per_refresh,
-    merge_rank_events,
-)
+from repro.stats.refresh_analysis import analyze_rank, blocked_per_refresh
 
 W = 100
 
@@ -80,15 +76,6 @@ def test_empty_events():
     assert wa.refreshes == 0
     assert wa.non_blocking_fraction == 0.0
     assert wa.dominant_fraction == 0.0
-
-
-def test_merge_rank_events():
-    a = events(reads=[10], refreshes=[100])
-    b = events(reads=[5, 20], refreshes=[50])
-    merged = merge_rank_events([a, b])
-    assert merged.read_arrivals == [5, 10, 20]
-    assert merged.refresh_starts == [50, 100]
-    assert merged.refresh_ends == [60, 110]
 
 
 # ---------------------------------------------------------------- properties

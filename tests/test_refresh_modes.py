@@ -11,6 +11,7 @@ import pytest
 from repro import RefreshConfig, RefreshMode, SystemConfig
 from repro.cpu import run_cores
 from repro.dram import MemorySystem
+from repro.stats.refresh_analysis import rank_events
 from repro.workloads.trace import AccessTrace
 
 
@@ -86,7 +87,7 @@ class TestPausing:
         for i in range(4000):
             ms.schedule_read(i, i * 5)
         ms.run()
-        ev = ms.recorder.rank_events(0, 0)
+        ev = rank_events(ms.sink.snapshot(), 0, 0)
         t = ms.controller.t
         seg = t.rfc // 4
         for s, e in zip(ev.refresh_starts, ev.refresh_ends):

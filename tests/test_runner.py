@@ -22,6 +22,7 @@ from repro.harness import (
     last_stats,
     resolve_jobs,
     run_mix,
+    set_cache_enabled,
 )
 from repro.harness.cache import ArtifactCache, NullCache
 from repro.harness.quarantine import result_digest
@@ -111,6 +112,25 @@ class TestExecutePlan:
         rows_par = fig7_8_9_rop_comparison(("gobmk",), TINY, cfg, sram_sizes=(16,), jobs=2)
         assert last_stats().jobs == 2
         assert json.dumps(rows_seq, sort_keys=True) == json.dumps(rows_par, sort_keys=True)
+
+    def test_warm_rerun_replays_identical_rows(self, tmp_path, monkeypatch):
+        """A figure rerun over a parallel cold run's cache simulates
+        nothing, serves every unique spec from a cache layer and renders
+        the same rows."""
+        cfg = SystemConfig.single_core()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        set_cache_enabled(True)
+        try:
+            cold = fig7_8_9_rop_comparison(("gobmk",), TINY, cfg, sram_sizes=(16,), jobs=2)
+            clear_result_memo()
+            clear_trace_cache()
+            warm = fig7_8_9_rop_comparison(("gobmk",), TINY, cfg, sram_sizes=(16,), jobs=1)
+        finally:
+            set_cache_enabled(None)
+        stats = last_stats()
+        assert stats.executed == 0
+        assert stats.hits == stats.unique
+        assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
 
     def test_parallel_multicore_result_fields(self):
         cfg = SystemConfig.single_core()

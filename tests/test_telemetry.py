@@ -10,8 +10,9 @@ Covers the contract the rest of the repository relies on:
   Perfetto;
 * metrics merge deterministically, so ``jobs=1`` and ``jobs=N`` plans
   produce identical merged metrics;
-* the :class:`~repro.stats.collectors.EventRecorder` shim reproduces the
-  pre-telemetry per-rank event lists (Figs. 2–4 inputs) exactly.
+* :func:`~repro.stats.refresh_analysis.rank_events` rebuilds the
+  pre-telemetry per-rank event lists (Figs. 2–4 inputs) exactly from a
+  sink snapshot.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from repro.harness.runner import (
     execute_plan,
 )
 from repro.harness.cache import NullCache
-from repro.stats.collectors import EventRecorder
-from repro.stats.refresh_analysis import analyze_rank, blocked_per_refresh
+from repro.stats.refresh_analysis import analyze_rank, blocked_per_refresh, rank_events
 from repro.telemetry import (
     Category,
     Kind,
@@ -324,31 +324,39 @@ class TestMetricsRegistry:
         assert reporting.render_metrics({}) == "(no metrics recorded)"
 
 
-# --------------------------------------------------- EventRecorder shim
+# ------------------------------------------- per-rank views from the sink
+
+
+def request_refresh_sink() -> TraceSink:
+    return TraceSink(
+        capacity=1 << 12, categories={Category.REQUEST, Category.REFRESH}, policy="grow"
+    )
 
 
 class TestRecorderShim:
+    """``rank_events`` serves the per-rank lists the recorder shim used to."""
+
     def test_direct_api_round_trip(self):
-        rec = EventRecorder(channels=1, ranks=2)
-        rec.on_request(0, 0, 5, True)
-        rec.on_request(0, 0, 7, False)
-        rec.on_request(0, 1, 9, True)
-        rec.on_refresh(0, 0, 100, 260)
-        ev = rec.rank_events(0, 0)
+        sink = request_refresh_sink()
+        sink.emit(Category.REQUEST, Kind.READ_ARRIVAL, 5, 0, 0)
+        sink.emit(Category.REQUEST, Kind.WRITE_ARRIVAL, 7, 0, 0)
+        sink.emit(Category.REQUEST, Kind.READ_ARRIVAL, 9, 0, 1)
+        sink.emit(Category.REFRESH, Kind.REFRESH_WINDOW, 100, 0, 0, a=260, b=-1)
+        snap = sink.snapshot()
+        ev = rank_events(snap, 0, 0)
         assert ev.read_arrivals == [5]
         assert ev.write_arrivals == [7]
         assert ev.refresh_starts == [100] and ev.refresh_ends == [260]
-        assert rec.rank_events(0, 1).read_arrivals == [9]
-        assert set(rec.all_events()) == {(0, 0), (0, 1)}
+        assert rank_events(snap, 0, 1).read_arrivals == [9]
 
     def test_materialized_lists_are_plain_ints(self):
-        rec = EventRecorder(channels=1, ranks=1)
-        rec.on_request(0, 0, 3, True)
-        ev = rec.rank_events()
+        sink = request_refresh_sink()
+        sink.emit(Category.REQUEST, Kind.READ_ARRIVAL, 3, 0, 0)
+        ev = rank_events(sink.snapshot(), 0, 0)
         assert type(ev.read_arrivals[0]) is int  # np.int64 would change pickles
 
     def test_refresh_analysis_unchanged_by_shim(self):
-        """Figs. 2–4 / Table I inputs survive the recorder→sink migration."""
+        """Figs. 2–4 / Table I inputs read straight from the sink."""
         from repro.dram.memory_system import MemorySystem
 
         cfg = SystemConfig.single_core()
@@ -361,9 +369,9 @@ class TestRecorderShim:
                 ms.schedule_read(int(i), int(cyc))
         ms.run(until=50_000)
         ms.finish()
-        ev = ms.recorder.rank_events(0, 0)
-        # reference lists rebuilt straight from the sink columns
         snap = ms.sink.snapshot()
+        ev = rank_events(snap, 0, 0)
+        # reference lists rebuilt by hand from the sink columns
         mine = (snap["channel"] == 0) & (snap["rank"] == 0)
         reads = snap["cycle"][mine & (snap["kind"] == int(Kind.READ_ARRIVAL))]
         assert ev.read_arrivals == reads.tolist()

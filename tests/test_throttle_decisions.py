@@ -95,7 +95,7 @@ def _rop_system(**rop_kw):
 
 
 def _run(cfg, workload):
-    # all-category sink: the default recorder sink drops ROP events
+    # all-category sink: the default record_events sink drops ROP events
     ms = MemorySystem(cfg, record_events=True, sink=TraceSink(1 << 14, policy="grow"))
     cycle = 0
     for line, gap in workload:
