@@ -18,8 +18,10 @@ forever.  This module makes the store reclaimable:
   trips over it.
 
 An *entry* is one result pickle (``<kk>/<key>.pkl``) or one trace-plane
-artifact group (``trace-plane/<kk>/<key>.{gaps,lines,writes}.npy`` +
-``.meta.json``), always evicted whole.  Lock files, temp files and the
+file (``trace-plane/<kk>/<key>.trace``).  Schema-1 trace groups
+(``<key>.{gaps,lines,writes}.npy`` + ``<key>.meta.json``) are entries of
+kind ``legacy``: no reader loads them any more, so every collection pass
+deletes them whatever the quota.  Lock files, temp files and the
 quarantine/chaos administrative trees are never touched.
 """
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import ArtifactCache, default_cache_dir
-from .trace_plane import _ARRAYS, TracePlane
+from .trace_plane import LEGACY_GLOBS, SUFFIX, TracePlane
 
 __all__ = [
     "CacheEntry",
@@ -49,10 +51,10 @@ _SHARD = re.compile(r"^[0-9a-f]{2}$")
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """One evictable unit: a result pickle or a trace artifact group."""
+    """One evictable unit: a result pickle, a trace file or a legacy group."""
 
     key: str
-    kind: str  #: ``result`` | ``trace``
+    kind: str  #: ``result`` | ``trace`` | ``legacy``
     paths: tuple[Path, ...]
     bytes: int
     mtime: float
@@ -119,22 +121,28 @@ def iter_entries(root: str | Path | None = None) -> list[CacheEntry]:
             entries.append(
                 CacheEntry(pkl.stem, "result", (pkl,), st.st_size, st.st_mtime)
             )
-    plane_root = root / "trace-plane"
-    for shard in _shard_dirs(plane_root):
-        for meta in shard.glob("*.meta.json"):
-            key = meta.name[: -len(".meta.json")]
-            paths = [shard / f"{key}.{name}.npy" for name in _ARRAYS] + [meta]
-            size = 0
-            for p in paths:
-                try:
-                    size += p.stat().st_size
-                except OSError:
-                    pass
+    for shard in _shard_dirs(root / "trace-plane"):
+        for path in shard.glob(f"*{SUFFIX}"):
             try:
-                mtime = meta.stat().st_mtime
+                st = path.stat()
             except OSError:
                 continue
-            entries.append(CacheEntry(key, "trace", tuple(paths), size, mtime))
+            key = path.name[: -len(SUFFIX)]
+            entries.append(CacheEntry(key, "trace", (path,), st.st_size, st.st_mtime))
+        legacy: dict[str, list[Path]] = {}
+        for pattern in LEGACY_GLOBS:
+            for path in shard.glob(pattern):
+                legacy.setdefault(path.name.split(".", 1)[0], []).append(path)
+        for key, paths in legacy.items():
+            size = mtime = 0
+            for p in paths:
+                try:
+                    st = p.stat()
+                except OSError:
+                    continue
+                size += st.st_size
+                mtime = max(mtime, st.st_mtime)
+            entries.append(CacheEntry(key, "legacy", tuple(paths), size, mtime))
     return entries
 
 
@@ -201,15 +209,18 @@ def collect(
 
     ``protect`` holds keys a live plan still references (result keys and
     trace keys); protected entries are never evicted, even if the
-    protected set alone exceeds the quota.
+    protected set alone exceeds the quota.  Legacy entries go first and
+    always: nothing can read them.
     """
-    entries = sorted(iter_entries(root), key=lambda e: (e.mtime, e.key))
+    entries = sorted(
+        iter_entries(root), key=lambda e: (e.kind != "legacy", e.mtime, e.key)
+    )
     total = sum(e.bytes for e in entries)
     res = GcResult(quota=quota, bytes_before=total, bytes_after=total, dry_run=dry_run)
+    kept = []
     for entry in entries:
-        if res.bytes_after <= quota:
-            break
-        if entry.key in protect:
+        if entry.kind != "legacy" and (res.bytes_after <= quota or entry.key in protect):
+            kept.append(entry)
             continue
         if not dry_run:
             for p in entry.paths:
@@ -221,10 +232,8 @@ def collect(
         res.freed_bytes += entry.bytes
         res.bytes_after -= entry.bytes
         res.evicted_keys.append(entry.key)
-    res.kept = len(entries) - res.evicted
-    res.protected = sum(
-        1 for e in entries if e.key in protect and e.key not in res.evicted_keys
-    )
+    res.kept = len(kept)
+    res.protected = sum(1 for e in kept if e.key in protect)
     return res
 
 
@@ -242,6 +251,8 @@ def verify(root: str | Path | None = None) -> dict:
     bad_keys: list[str] = []
     miss = object()
     for entry in iter_entries(root):
+        if entry.kind == "legacy":
+            continue  # no read path: collect() deletes these
         checked += 1
         if entry.kind == "result":
             ok = cache.get(entry.key, miss) is not miss

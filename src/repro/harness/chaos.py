@@ -16,8 +16,8 @@ spec.  Sites:
   in the parent process, which must survive to drain the plan;
 * ``cache-write``  — ``OSError`` inside ``ArtifactCache.put`` (counted
   as a cache write error; the result survives in memory);
-* ``torn-plane``   — truncates one trace-plane array right after its
-  store commits (readers detect, quarantine, recompute);
+* ``torn-plane``   — truncates one trace-plane ``.trace`` file right
+  after its store commits (readers detect, quarantine, recompute);
 * ``epoch-fault``  — raises :class:`EpochEngineFault` on the epoch
   engine's path in ``run_spec`` (the scalar-fallback ladder);
 * ``slow-spec``    — a short sleep, exercising near-timeout skew.
@@ -217,7 +217,7 @@ def inject_cache_write_error(key: str) -> None:
 
 
 def tear_plane_entry(key: str, path: Path) -> bool:
-    """Truncate one just-committed plane array; True when torn."""
+    """Truncate one just-committed ``.trace`` file; True when torn."""
     if not _should_fire("torn-plane", key):
         return False
     try:

@@ -23,7 +23,7 @@ duplicated) whenever:
 
 Lock files (``<key>.lock``) stay behind after use — creating/unlinking
 them atomically under contention is not worth the complexity, and every
-store's entry globs (``*.pkl``, ``*.npy``, ``*.meta.json``) ignore them.
+store's entry globs (``*.pkl``, ``*.trace``) ignore them.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Two kinds of material land under ``<cache-dir>/quarantine/``:
 
 * **corrupt store entries** — a torn pickle in the artifact cache or a
-  torn ``.npy``/meta file in the trace plane used to be unlinked after
+  torn ``.trace`` file in the trace plane used to be unlinked after
   counting; now the bytes are *moved* here (renamed with a ``.quar``
   suffix so no store glob ever picks them back up), preserving the
   evidence for triage while the store still recovers by recomputing;
@@ -74,9 +74,9 @@ def quarantine_file(path: Path, root: str | Path | None = None) -> Path | None:
     """Move a corrupt artifact into quarantine; returns its new path.
 
     The destination name gains a ``.quar`` suffix so the stores' entry
-    globs (``*/*.pkl``, ``*/*.npy``, ``*/*.meta.json``) never match a
-    quarantined file.  On any failure the original is unlinked instead
-    (the pre-quarantine behaviour) and None is returned.
+    globs (``*/*.pkl``, ``*/*.trace``) never match a quarantined file.
+    On any failure the original is unlinked instead (the pre-quarantine
+    behaviour) and None is returned.
     """
     dest_dir = quarantine_dir(root)
     try:

@@ -17,7 +17,7 @@ of looping, a driver *declares* its grid as :class:`RunSpec` points on a
   results);
 * before simulating a plan of more than one uncached spec, the parent
   **prewarms the trace plane** (:mod:`~repro.harness.trace_plane`):
-  every unique memory trace is materialized once as ``.npy`` artifacts
+  every unique memory trace is materialized once as a ``.trace`` file
   that workers memory-map instead of regenerating per process, grouped
   by CPU trace so each CPU trace is synthesized once per plan;
 * specs are dispatched in **chunks** of K per future (auto-sized from
@@ -1223,7 +1223,7 @@ def prewarm_traces(specs: Iterable[RunSpec]) -> None:
 
     ``SpecProfile.memory_trace`` persists traces through the trace plane
     (:mod:`~repro.harness.trace_plane`), so generating them here, in the
-    parent, means every worker memory-maps the shared ``.npy`` artifacts
+    parent, means every worker memory-maps the shared ``.trace`` files
     instead of regenerating identical traces per process.  Traces are
     visited grouped by CPU trace, so every LLC geometry of one CPU trace
     is filtered back to back and ``SpecProfile.cpu_trace``'s one-entry

@@ -1,41 +1,44 @@
-"""Shared-memory trace plane: memory traces as mmap-able ``.npy`` artifacts.
+"""Shared-memory trace plane: memory traces as mmap-able one-file entries.
 
 The pickle artifact cache made LLC-filtered traces *persistent*, but every
 process that needed one still paid a full unpickle into a private heap
 copy — at ``jobs=N`` the same multi-megabyte arrays were duplicated N
-times.  The trace plane stores each trace's arrays as raw ``.npy`` files
-instead, so any number of worker processes map the *same* page-cache
-pages via ``np.load(mmap_mode="r")``: materialize once, share everywhere.
-The parent prewarms the plane before fanning a plan out (see
-:func:`repro.harness.runner.execute_plan`), so workers never regenerate a
-trace another process already built.
+times.  The trace plane stores each trace as one raw file instead, so any
+number of worker processes map the *same* page-cache pages: materialize
+once, share everywhere.  The parent prewarms the plane before fanning a
+plan out (see :func:`repro.harness.runner.execute_plan`), so workers
+never regenerate a trace another process already built.
 
-Layout, sharded like the pickle cache (``<cache-dir>/trace-plane/<kk>/``)::
+Layout, sharded like the pickle cache: ``<cache-dir>/trace-plane/<kk>/<key>.trace``
+holds a fixed 64-byte little-endian header (magic, ``PLANE_SCHEMA``,
+length ``n``, ``tail_instructions``) followed by ``gaps`` (int64 × n),
+``lines`` (int64 × n) and ``writes`` (bool × n), written straight from
+the arrays.  A reader maps the file once and hands out three read-only
+``np.memmap`` slices of it.
 
-    <key>.gaps.npy    int64  instruction gaps
-    <key>.lines.npy   int64  cache-line indices
-    <key>.writes.npy  bool   store markers
-    <key>.meta.json   commit marker: schema, length, tail_instructions
+The entry is written through a temp file and committed by one
+``os.replace``, so a writer that dies mid-store (crashed worker,
+kill -9) leaves at most a ``.tmp`` file, never a loadable-but-torn
+entry.  An entry is valid only if its magic and schema match and its
+size is exactly ``64 + 17 * n``; anything else is counted ``corrupt``,
+moved to ``<cache-dir>/quarantine/`` and reported as a miss — corruption
+is recovered by recomputing, never a crash, and the torn bytes survive
+for triage.  A per-key advisory lock (:mod:`~repro.harness.locks`)
+deduplicates concurrent prewarms of the same key: the losing writer
+waits, reads the winner's entry back, and skips its own store.  Read
+hits touch the file's mtime, giving the size-quota GC
+(:mod:`~repro.harness.cache_gc`) an LRU signal.  The plane obeys the
+same ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` knobs as the pickle cache.
 
-Each array is written through a temp file + ``os.replace`` and the meta
-file is written *last*, so a writer that dies mid-store (crashed worker,
-kill -9) can never leave a loadable-but-torn entry: loads require the
-meta marker and validate every array's length against it.  Any load
-failure moves the entry's files to ``<cache-dir>/quarantine/`` and
-reports a miss — corruption is recovered by recomputing, never a crash,
-and the torn bytes survive for triage.  A per-key advisory lock
-(:mod:`~repro.harness.locks`) deduplicates concurrent prewarms of the
-same key: the losing writer waits, reads the winner's entry back, and
-skips its own store.  Read hits touch the commit marker's mtime, giving
-the size-quota GC (:mod:`~repro.harness.cache_gc`) an LRU signal.  The
-plane obeys the same ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` knobs as the
-pickle cache.
+Schema-1 stores kept three ``.npy`` files plus a ``.meta.json`` commit
+marker per entry; this reader ignores them, and :meth:`TracePlane.clear`
+and the GC delete them.
 """
 
 from __future__ import annotations
 
-import json
 import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -53,14 +56,22 @@ __all__ = [
 ]
 
 #: Bump when the on-disk layout changes; old entries are then dropped on load.
-PLANE_SCHEMA = 1
+PLANE_SCHEMA = 2
 
+#: entry file suffix; schema-1 leftovers are ``*.npy`` and ``*.meta.json``
+SUFFIX = ".trace"
+LEGACY_GLOBS = ("*.npy", "*.meta.json")
+
+_MAGIC = b"ROPTRACE"
+#: magic, schema, length, tail_instructions, zero padding to 64 bytes
+_HEADER = struct.Struct("<8sQqq32x")
 #: the AccessTrace array fields, in on-disk order
-_ARRAYS = ("gaps", "lines", "writes")
+_ARRAYS = (("gaps", np.int64), ("lines", np.int64), ("writes", np.bool_))
+_RECORD = sum(np.dtype(dt).itemsize for _, dt in _ARRAYS)  # bytes per access
 
 
 class TracePlane:
-    """A directory of trace arrays, addressed by content fingerprint."""
+    """A directory of one-file trace entries, addressed by content fingerprint."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -76,74 +87,45 @@ class TracePlane:
     def enabled(self) -> bool:
         return True
 
-    # -- paths ---------------------------------------------------------------
+    def _file(self, key: str) -> str:
+        # plain strings: pathlib (and np.memmap's Path.resolve) cost more
+        # than the I/O of a small entry
+        return f"{self.root}/{key[:2]}/{key}{SUFFIX}"
 
-    def _dir(self, key: str) -> Path:
-        return self.root / key[:2]
-
-    def _array_path(self, key: str, name: str) -> Path:
-        return self._dir(key) / f"{key}.{name}.npy"
-
-    def _meta_path(self, key: str) -> Path:
-        return self._dir(key) / f"{key}.meta.json"
-
-    def paths(self, key: str) -> list[Path]:
-        """Every file backing ``key`` (tests and cache management)."""
-        return [self._array_path(key, n) for n in _ARRAYS] + [self._meta_path(key)]
-
-    def _drop(self, key: str) -> None:
-        for path in self.paths(key):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
-    def _quarantine(self, key: str) -> None:
-        """Move a corrupt entry's surviving files to quarantine."""
-        from .quarantine import quarantine_file
-
-        moved = False
-        for path in self.paths(key):
-            if path.exists():
-                moved = quarantine_file(path, self.root.parent) is not None or moved
-        if moved:
-            self.quarantined += 1
+    def path(self, key: str) -> Path:
+        """The file backing ``key`` (tests and cache management)."""
+        return Path(self._file(key))
 
     # -- read ----------------------------------------------------------------
 
     def _read(self, key: str) -> AccessTrace | None:
         """Mmap-backed trace for ``key``, or None (no hit/miss counting)."""
-        meta_path = self._meta_path(key)
+        path = self._file(key)
         try:
-            meta = json.loads(meta_path.read_text())
+            raw = np.memmap(path, dtype=np.uint8, mode="r")
+            magic, schema, n, tail = _HEADER.unpack_from(raw)
+            if magic != _MAGIC or schema != PLANE_SCHEMA:
+                raise ValueError(f"not a schema-{PLANE_SCHEMA} trace entry")
+            if raw.size != _HEADER.size + _RECORD * n:
+                raise ValueError("file size disagrees with header length")
         except FileNotFoundError:
             return None
-        except (OSError, ValueError):
-            self.corrupt += 1
-            self._quarantine(key)
-            return None
-        try:
-            if meta.get("schema") != PLANE_SCHEMA:
-                raise ValueError(f"schema {meta.get('schema')} != {PLANE_SCHEMA}")
-            length = int(meta["length"])
-            arrays = {
-                name: np.load(self._array_path(key, name), mmap_mode="r")
-                for name in _ARRAYS
-            }
-            if any(len(a) != length for a in arrays.values()):
-                raise ValueError("array length disagrees with commit marker")
-            return AccessTrace(
-                arrays["gaps"],
-                arrays["lines"],
-                arrays["writes"],
-                tail_instructions=int(meta["tail_instructions"]),
-            )
-        except Exception:
-            # torn array, foreign bytes, stale schema — quarantine the
+        except (OSError, ValueError, struct.error):
+            # torn file, foreign bytes, stale schema — quarantine the
             # evidence and recompute
             self.corrupt += 1
-            self._quarantine(key)
+            from .quarantine import quarantine_file
+
+            if quarantine_file(Path(path), self.root.parent) is not None:
+                self.quarantined += 1
             return None
+        arrays = []
+        offset = _HEADER.size
+        for _, dtype in _ARRAYS:
+            end = offset + np.dtype(dtype).itemsize * n
+            arrays.append(raw[offset:end].view(dtype))
+            offset = end
+        return AccessTrace(*arrays, tail_instructions=tail)
 
     def load(self, key: str) -> AccessTrace | None:
         """The trace stored under ``key`` as read-only mmap views, or None."""
@@ -153,7 +135,7 @@ class TracePlane:
         else:
             self.hits += 1
             try:
-                os.utime(self._meta_path(key))  # LRU signal for the GC
+                os.utime(self._file(key))  # LRU signal for the GC
             except OSError:
                 pass
         return trace
@@ -171,33 +153,33 @@ class TracePlane:
         A per-key advisory lock deduplicates concurrent prewarms: the
         losing writer waits for the winner, reads the committed entry
         back, and skips its own store (``stores`` is not incremented).
+        Arrays of another dtype are converted; a lossy conversion (say,
+        float lines) raises ``TypeError``.
         """
         from .locks import file_lock
 
-        directory = self._dir(key)
+        arrays = [
+            np.ascontiguousarray(
+                getattr(trace, name).astype(dtype, casting="same_kind", copy=False)
+            )
+            for name, dtype in _ARRAYS
+        ]
+        header = _HEADER.pack(_MAGIC, PLANE_SCHEMA, len(trace), int(trace.tail_instructions))
+
+        def write(fh) -> None:
+            fh.write(header)
+            for arr in arrays:
+                fh.write(arr.data)
+
+        path = self._file(key)
+        directory = os.path.dirname(path)
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            with file_lock(directory / f"{key}.lock"):
+            os.makedirs(directory, exist_ok=True)
+            with file_lock(f"{directory}/{key}.lock"):
                 existing = self._read(key)
                 if existing is not None:
                     return existing  # a concurrent prewarm beat us to it
-                for name in _ARRAYS:
-                    self._write_file(
-                        directory,
-                        self._array_path(key, name),
-                        lambda fh, n=name: np.save(fh, np.ascontiguousarray(getattr(trace, n))),
-                    )
-                meta = {
-                    "schema": PLANE_SCHEMA,
-                    "length": len(trace),
-                    "tail_instructions": int(trace.tail_instructions),
-                }
-                # the commit marker goes last: readers ignore marker-less entries
-                self._write_file(
-                    directory,
-                    self._meta_path(key),
-                    lambda fh: fh.write(json.dumps(meta).encode()),
-                )
+                self._write_file(directory, path, write)
         except OSError:
             self.write_errors += 1
             return None
@@ -205,10 +187,10 @@ class TracePlane:
         if "REPRO_CHAOS" in os.environ:  # deferred: chaos imports this package
             from .chaos import tear_plane_entry
 
-            tear_plane_entry(key, self._array_path(key, "lines"))
+            tear_plane_entry(key, Path(path))
         return self._read(key)
 
-    def _write_file(self, directory: Path, path: Path, write) -> None:
+    def _write_file(self, directory: str, path: str, write) -> None:
         """Atomic single-file write (temp + ``os.replace``), counting bytes."""
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
@@ -224,15 +206,16 @@ class TracePlane:
             raise
 
     def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
+        """Delete every entry and schema-1 leftover; returns files removed."""
         removed = 0
         if self.root.is_dir():
-            for p in list(self.root.glob("*/*.npy")) + list(self.root.glob("*/*.meta.json")):
-                try:
-                    p.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+            for pattern in (f"*{SUFFIX}",) + LEGACY_GLOBS:
+                for p in self.root.glob(f"*/{pattern}"):
+                    try:
+                        p.unlink()
+                        removed += 1
+                    except OSError:
+                        pass
         return removed
 
 
@@ -257,9 +240,6 @@ class NullTracePlane:
 
     def store(self, key: str, trace: AccessTrace) -> None:
         return None
-
-    def paths(self, key: str) -> list[Path]:
-        return []
 
     def clear(self) -> int:
         return 0

@@ -274,6 +274,10 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
         k_bank: list[list[int]] = [[] for _ in range(nkeys)]
         k_addr: list[list[int]] = [[] for _ in range(nkeys)]
         mir_pending: list[list[list[int]]] = [[] for _ in range(nkeys)]
+        # per-key left edge of the scalar arrival deque: a training tick
+        # advances *every* profiler to its start, which can lie past a
+        # later tick's B-window on another rank
+        k_pruned = [0] * nkeys
         last_tr_adv = -1  # last training-tick advance (global: all profilers)
         # per-key prediction-table mirrors; flat per-bank layout
         # [d1, f1, d2, ph2, f2, d3, ph3, f3] (matcher ks fixed at 1, 2, 3)
@@ -884,7 +888,7 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
         arr.clear()
         kc = k_cyc[kk]
         kwr = k_wr[kk]
-        lo = bisect_left(kc, cycle - window)
+        lo = max(bisect_left(kc, cycle - window), k_pruned[kk])
         n = len(kc)
         while lo < n:
             arr.append((kc[lo], not kwr[lo]))
@@ -1334,8 +1338,10 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
                             if not sm.is_training:
                                 kc = k_cyc[kk]
                                 # half-open [cycle - window, cycle)
-                                b_count = bisect_left(kc, cycle) - bisect_left(
-                                    kc, cycle - window
+                                b_count = max(
+                                    0,
+                                    bisect_left(kc, cycle)
+                                    - max(bisect_left(kc, cycle - window), k_pruned[kk]),
                                 )
                                 if rop._bus_pressure(ci, cycle) > bus_pressure_limit:
                                     rop.pressure_skips += 1
@@ -1406,13 +1412,17 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
                                 rop._now = start
                             if sm.is_training:
                                 mir_expire_all(start)
+                                # _maybe_finish_training advances every
+                                # profiler to start: prune all deques
+                                for k2 in range(nkeys):
+                                    j = bisect_left(k_cyc[k2], start - window)
+                                    if j > k_pruned[k2]:
+                                        k_pruned[k2] = j
                                 kc = k_cyc[kk]
                                 hi = len(kc)
                                 # [start - window, start): half-open, same
                                 # as the scalar profiler
-                                b = bisect_left(kc, start) - bisect_left(
-                                    kc, start - window
-                                )
+                                b = max(0, bisect_left(kc, start) - k_pruned[kk])
                                 mir_pending[kk].append(
                                     [start, start + a_window, b, hi]
                                 )
@@ -1526,7 +1536,7 @@ def run_epoch_multi(memory, cores, max_cycles=None) -> str | None:
             arr.clear()
             if kc:
                 kwr = k_wr[kk]
-                j = bisect_left(kc, la - window)
+                j = max(bisect_left(kc, la - window), k_pruned[kk])
                 n = len(kc)
                 while j < n:
                     arr.append((kc[j], not kwr[j]))

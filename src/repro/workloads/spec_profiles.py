@@ -113,11 +113,10 @@ class SpecProfile:
 
         Filtering is a pure function of (phase model, run length, seed,
         LLC geometry), so traces are persisted through the content-keyed
-        :mod:`~repro.harness.trace_plane` as raw ``.npy`` arrays: worker
-        processes and later invocations memory-map the shared artifact
-        (``np.load(mmap_mode="r")``) instead of regenerating and
-        re-filtering it — one copy in the page cache, however many
-        processes replay it.
+        :mod:`~repro.harness.trace_plane` as one raw file per trace:
+        worker processes and later invocations memory-map the shared
+        artifact instead of regenerating and re-filtering it — one copy
+        in the page cache, however many processes replay it.
         """
         key = (self.name, instructions, seed, llc.size_bytes, llc.ways, llc.line_bytes)
         cached = _MEM_TRACE_CACHE.get(key)

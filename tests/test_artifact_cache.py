@@ -146,11 +146,10 @@ class TestGlobalCache:
         llc = LlcConfig(size_bytes=256 * 1024, ways=4)
         clear_trace_cache()
         t1 = profile("gobmk").memory_trace(50_000, llc, seed=9)
-        # traces persist through the trace plane (raw .npy arrays + commit
-        # marker), not the pickle cache — workers mmap them instead
+        # traces persist through the trace plane (one raw .trace file per
+        # entry), not the pickle cache — workers mmap them instead
         plane = tmp_path / "trace-plane"
-        assert any(plane.glob("*/*.npy")), "trace not written to trace plane"
-        assert any(plane.glob("*/*.meta.json")), "trace plane commit marker missing"
+        assert any(plane.glob("*/*.trace")), "trace not written to trace plane"
         clear_trace_cache()  # force the disk path
         t2 = profile("gobmk").memory_trace(50_000, llc, seed=9)
         assert (t1.gaps == t2.gaps).all()

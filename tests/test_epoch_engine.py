@@ -190,3 +190,50 @@ class TestMetamorphicFuzz:
         scalar = run_cores(list(traces), cfg, engine="scalar")
         epoch = run_cores(list(traces), cfg, engine="epoch")
         assert _digest(scalar) == _digest(epoch)
+
+    def test_training_tick_prunes_every_rank_window(self):
+        """Pinned falsifying point: one rank's training refresh starts past
+        another's, so the scalar profilers prune arrivals the later-handled
+        (earlier-starting) refresh would otherwise count in its B-window."""
+        from dataclasses import replace
+
+        from repro.config import AddressMapScheme, RefreshMode
+        from repro.validation.fuzz import FUZZ_ORG
+        from repro.workloads.trace import AccessTrace
+
+        timings = SystemConfig().timings.with_refresh(refi=1200, rfc=100)
+        cfg = (
+            SystemConfig.single_core(organization=FUZZ_ORG, timings=timings)
+            .with_refresh_mode(RefreshMode.PER_BANK)
+            .with_rop(
+                sram_lines=4,
+                training_refreshes=2,
+                probabilistic=False,
+                drain_before_refresh=True,
+                adaptive_depth=False,
+                bus_pressure_limit=0.0,
+            )
+        )
+        cfg = replace(
+            cfg,
+            organization=replace(cfg.organization, ranks=4),
+            address_map=AddressMapScheme.RANK_PARTITIONED,
+        )
+        lines2 = [0, 184, 2066, 6256, 22220, 8027, 0, 0, 0, 0, 2048, 6208, 6176, 2048,
+                  6144, 0, 0, 32, 2048, 2048, 2048, 2048, 2048, 0, 96, 160, 2080, 0,
+                  32, 64, 32, 0, 64, 32, 2048] + [0] * 28
+        gaps2 = [36, 47, 23] + [0] * 28 + [25, 26, 26, 38, 50, 60] + [0] * 21 + [
+            26, 37, 56, 59, 63
+        ]
+        traces = [
+            AccessTrace.from_lists([0], [0], [False], 0),
+            AccessTrace.from_lists(
+                [1573] + [0] * 16, range(7608, 7625), [i % 3 == 0 for i in range(17)], 0
+            ),
+            AccessTrace.from_lists(gaps2, lines2, [i == 31 for i in range(63)], 0),
+            AccessTrace.from_lists([0] * 26, [0] * 16 + [32] + [0] * 9, [False] * 26, 0),
+        ]
+        scalar = run_cores(traces, cfg, engine="scalar")
+        epoch = run_cores(traces, cfg, engine="epoch")
+        assert scalar.rop_summary == epoch.rop_summary
+        assert _digest(scalar) == _digest(epoch)

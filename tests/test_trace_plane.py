@@ -1,7 +1,7 @@
 """Trace-plane lifecycle tests (ISSUE 4).
 
-The plane persists LLC-filtered memory traces as raw ``.npy`` artifacts
-that any number of processes memory-map.  These tests cover the full
+The plane persists LLC-filtered memory traces as one raw ``.trace`` file
+per entry that any number of processes memory-map.  These tests cover the full
 lifecycle: materialize once / reuse across specs, survival of worker
 crashes, invalidation when the content key changes, and corruption
 recovery (torn entries are misses, never crashes).
@@ -9,6 +9,7 @@ recovery (torn entries are misses, never crashes).
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -71,18 +72,20 @@ class TestStoreLoad:
     def test_artifacts_on_disk_under_plane_dir(self):
         profile("gobmk").memory_trace(50_000, LLC, seed=9)
         root = trace_plane_dir()
-        assert list(root.glob("*/*.gaps.npy"))
-        assert list(root.glob("*/*.meta.json"))
+        files = list(root.glob("*/*"))
+        assert [p.suffix for p in files if p.suffix != ".lock"] == [".trace"]
 
     def test_meta_commit_marker_written_last_semantics(self, tmp_path):
-        """An entry without its commit marker is invisible (a plain miss)."""
+        """An uncommitted write (a ``.tmp`` never renamed) is a plain miss."""
         plane = TracePlane(tmp_path / "plane")
+        key = "ab" + "0" * 38
         trace = AccessTrace.from_lists([1, 2], [10, 20], [False, True], 5)
-        stored = plane.store("ab" + "0" * 38, trace)
-        assert stored is not None
-        plane._meta_path("ab" + "0" * 38).unlink()
-        assert plane.load("ab" + "0" * 38) is None
-        assert plane.corrupt == 0  # marker-less != corrupt
+        assert plane.store(key, trace) is not None
+        # a writer killed before os.replace leaves only its temp file
+        path = plane.path(key)
+        path.rename(path.with_name("tmpab12.tmp"))
+        assert plane.load(key) is None
+        assert plane.corrupt == 0  # uncommitted != corrupt
 
     def test_disabled_cache_uses_null_plane(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "off")
@@ -146,9 +149,9 @@ class TestCorruption:
         # snapshot to the heap: the corruption below clobbers live mmaps
         original = np.array(profile("gobmk").memory_trace(50_000, LLC, seed=9).lines)
         key = profile("gobmk").trace_key(50_000, LLC, seed=9)
-        # truncate one array: simulates a torn write or foreign bytes
-        path = plane._array_path(key, "lines")
-        path.write_bytes(path.read_bytes()[:16])
+        # cut the file inside the lines array: a torn write or foreign bytes
+        path = plane.path(key)
+        path.write_bytes(path.read_bytes()[: 64 + 8 * len(original) + 16])
         clear_trace_cache()
         recomputed = profile("gobmk").memory_trace(50_000, LLC, seed=9)
         assert plane.corrupt >= 1
@@ -158,19 +161,21 @@ class TestCorruption:
         plane = get_trace_plane()
         profile("gobmk").memory_trace(50_000, LLC, seed=9)
         key = profile("gobmk").trace_key(50_000, LLC, seed=9)
-        plane._meta_path(key).write_text("{not json")
+        path = plane.path(key)
+        path.write_bytes(b"{not json".ljust(64) + path.read_bytes()[64:])
         assert plane.load(key) is None
         assert plane.corrupt >= 1
-        # every backing file was unlinked with the bad marker
-        assert not any(p.exists() for p in plane.paths(key))
+        # the file with the bad header left the store
+        assert not path.exists()
 
     def test_stale_schema_invalidates(self):
         plane = get_trace_plane()
         profile("gobmk").memory_trace(50_000, LLC, seed=9)
         key = profile("gobmk").trace_key(50_000, LLC, seed=9)
-        meta = json.loads(plane._meta_path(key).read_text())
-        meta["schema"] = -1
-        plane._meta_path(key).write_text(json.dumps(meta))
+        path = plane.path(key)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, 8, 1)  # the schema field
+        path.write_bytes(bytes(raw))
         assert plane.load(key) is None
 
     def test_corrupt_entry_is_quarantined_for_triage(self):
@@ -178,19 +183,63 @@ class TestCorruption:
         plane = get_trace_plane()
         profile("gobmk").memory_trace(50_000, LLC, seed=9)
         key = profile("gobmk").trace_key(50_000, LLC, seed=9)
-        path = plane._array_path(key, "lines")
+        path = plane.path(key)
         torn_bytes = path.read_bytes()[:16]
         path.write_bytes(torn_bytes)
         assert plane.load(key) is None
         assert plane.quarantined == 1
-        assert not any(p.exists() for p in plane.paths(key))
+        assert not path.exists()
         qdir = plane.root.parent / "quarantine"
-        moved = sorted(p.name for p in qdir.iterdir())
-        assert len(moved) == 4  # three arrays + the commit marker
-        assert all(n.endswith(".quar") for n in moved)
+        moved = list(qdir.iterdir())
+        assert [p.name for p in moved] == [path.name + ".quar"]
         # the torn bytes survive verbatim for offline triage
-        torn = next(p for p in qdir.iterdir() if ".lines." in p.name)
-        assert torn.read_bytes() == torn_bytes
+        assert moved[0].read_bytes() == torn_bytes
+
+
+class TestLegacyEntries:
+    """Schema-1 groups (three ``.npy`` files + ``.meta.json``) are dead
+    weight: no reader loads them, and both clear() and the GC delete them."""
+
+    KEY = "ab" + "1" * 38
+
+    def _seed(self, plane):
+        shard = plane.root / self.KEY[:2]
+        shard.mkdir(parents=True, exist_ok=True)
+        for name in ("gaps", "lines", "writes"):
+            np.save(shard / f"{self.KEY}.{name}.npy", np.zeros(8, dtype=np.int64))
+        (shard / f"{self.KEY}.meta.json").write_text(
+            json.dumps({"schema": 1, "length": 8, "tail_instructions": 0})
+        )
+        return sorted(shard.glob(f"{self.KEY}.*"))
+
+    def test_legacy_group_reads_as_plain_miss(self):
+        plane = get_trace_plane()
+        self._seed(plane)
+        assert plane.load(self.KEY) is None
+        assert plane.corrupt == 0
+
+    def test_gc_removes_legacy_files_under_any_quota(self, plane_env):
+        from repro.harness.cache_gc import collect, iter_entries
+
+        plane = get_trace_plane()
+        legacy = self._seed(plane)
+        live = "cd" + "2" * 38
+        plane.store(live, AccessTrace.from_lists([1], [2], [False], 0))
+        kinds = {e.key: e.kind for e in iter_entries(plane_env)}
+        assert kinds == {self.KEY: "legacy", live: "trace"}
+        res = collect(1 << 40, root=plane_env)
+        assert res.evicted_keys == [self.KEY]
+        assert not any(p.exists() for p in legacy)
+        assert plane.path(live).exists()
+
+    def test_clear_removes_legacy_and_current_files(self):
+        plane = get_trace_plane()
+        legacy = self._seed(plane)
+        live = "cd" + "2" * 38
+        plane.store(live, AccessTrace.from_lists([1], [2], [False], 0))
+        assert plane.clear() == len(legacy) + 1
+        assert not any(p.exists() for p in legacy)
+        assert not plane.path(live).exists()
 
 
 class TestPlanLifecycle:
