@@ -17,10 +17,11 @@ Phases:
    ``REPRO_CHAOS=<seed>:<rate>`` armed, dispatched in two waves (wave 2
    resumes over wave 1's surviving cache) plus a final full-plan pass
    that must be served entirely from cache;
-3. *compare* — digests per spec key, failure counts, and the fallback
+3. *compare* — digests per spec key, failure counts, the fallback
    ledger (an injected epoch fault must appear in
    ``RunnerStats.engine_fallbacks`` and leave a loadable quarantine
-   bundle).
+   bundle), and the chaos store's shards, which must hold only
+   ``.pkl``/``.trace`` entries.
 
 Usage::
 
@@ -178,6 +179,20 @@ def main() -> int:
         if not missing and not mismatched:
             print(f"OK  all {len(clean)} per-spec digests bit-identical "
                   f"under chaos")
+
+        # prewarm stores and result puts both run in the parent, so no
+        # crash can interrupt a write: the shards hold entries and nothing
+        # else (no stray .tmp, no per-key .lock)
+        strays = [
+            p for p in (*chaos_dir.glob("??/*"), *chaos_dir.glob("trace-plane/??/*"))
+            if p.suffix not in (".pkl", ".trace")
+        ]
+        if strays:
+            ok = False
+            print(f"FAIL: {len(strays)} non-entry files in the store shards: "
+                  f"{[p.name for p in strays[:5]]}")
+        else:
+            print("OK  store shards hold only .pkl/.trace entries")
 
         # the injected epoch fault must be visible in the ledger and leave
         # a loadable quarantine bundle

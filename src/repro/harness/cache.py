@@ -23,15 +23,16 @@ Environment knobs:
 * ``REPRO_CACHE=off`` (or ``0``) — disable the disk cache entirely; the
   CLI's ``--no-cache`` flag does the same per invocation.
 
-Entries are pickled with an atomic write (temp file + ``os.replace``) so
-concurrent worker processes can populate the same cache safely, and a
-per-key advisory lock (:mod:`~repro.harness.locks`) deduplicates
-concurrent writers: the loser waits, sees the winner's entry, and skips
-its own write.  A corrupted or truncated entry is treated as a miss,
-moved to ``<cache-dir>/quarantine/`` for triage, and recomputed — never
-a crash.  Read hits touch the entry's mtime, giving the size-quota
-garbage collector (:mod:`~repro.harness.cache_gc`, ``REPRO_CACHE_QUOTA``)
-an LRU signal.
+Both this cache and the trace plane are :class:`EntryStore` trees with
+one commit rule: an entry is written to a temp file in its shard and
+published with ``os.link``, so the first writer of a key wins, a racing
+writer sees ``FileExistsError`` and keeps the winner's entry, and a
+writer that dies midway leaves at most a ``.tmp`` file.  No lock file is
+involved.  A corrupted or truncated entry is treated as a miss, moved to
+``<cache-dir>/quarantine/`` for triage, and recomputed — never a crash.
+Read hits touch the entry's mtime, giving the size-quota garbage
+collector (:mod:`~repro.harness.cache_gc`, ``REPRO_CACHE_QUOTA``) an LRU
+signal.
 """
 
 from __future__ import annotations
@@ -44,12 +45,15 @@ import os
 import pickle
 import tempfile
 import warnings
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any
 
 __all__ = [
     "CACHE_SCHEMA",
     "fingerprint",
+    "atomic_write",
+    "EntryStore",
     "ArtifactCache",
     "NullCache",
     "get_cache",
@@ -103,8 +107,62 @@ def fingerprint(*parts: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:40]
 
 
-class ArtifactCache:
-    """A directory of pickled artifacts, addressed by fingerprint."""
+def atomic_write(
+    path: str | Path, chunks: Iterable[bytes | memoryview], *, replace: bool
+) -> int | None:
+    """Write ``chunks`` (bytes-like) to ``path`` atomically; returns bytes published.
+
+    The data goes to a temp file in ``path``'s directory (created on
+    first use), so readers see a whole file or none and a writer that
+    dies midway leaves at most a ``.tmp`` file.  ``replace=True`` renames
+    the temp file over ``path``, for files rewritten in place (quarantine
+    bundles, job journal entries).  ``replace=False`` is the stores'
+    first-writer-wins commit: the temp file is hard-linked to ``path``,
+    and None is returned when ``path`` already exists because a racing
+    writer published it first.  A filesystem without hard links falls
+    back to the rename: still atomic, just not deduplicated.
+    """
+    directory = os.path.dirname(path)
+    if not os.path.isdir(directory):
+        os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            size = fh.tell()
+        if not replace:
+            try:
+                os.link(tmp, path)
+                return size
+            except FileExistsError:
+                return None
+            except OSError:
+                pass  # no hard links here: fall back to the rename
+        os.replace(tmp, path)
+        tmp = None
+        return size
+    finally:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
+class EntryStore:
+    """A sharded directory of content-addressed files, ``<root>/<kk>/<key><suffix>``.
+
+    The part both stores share: entry paths, the counters, the
+    first-writer-wins commit, quarantine of corrupt entries, the LRU
+    mtime touch on a read hit, and :meth:`clear`.  Subclasses add the
+    entry codec.
+    """
+
+    suffix = ""
+    #: leftovers of older layouts, which :meth:`clear` and the GC delete:
+    #: stores used to keep one ``<key>.lock`` file per entry
+    legacy_globs: tuple[str, ...] = ("*.lock",)
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -113,24 +171,86 @@ class ArtifactCache:
         self.corrupt = 0
         self.quarantined = 0  #: corrupt entries moved to quarantine
         self.write_errors = 0
-        self.bytes_written = 0  #: payload bytes persisted (size on disk)
-        self.bytes_read = 0  #: payload bytes served from disk
-        self._warned_unwritable = False
+        self.bytes_written = 0  #: entry bytes this instance published
 
     @property
     def enabled(self) -> bool:
         return True
 
-    def _path(self, key: str) -> Path:
-        # two-level sharding keeps directory listings manageable
-        return self.root / key[:2] / f"{key}.pkl"
+    @property
+    def cache_dir(self) -> Path:
+        """The cache directory whose ``quarantine/`` takes corrupt entries."""
+        return self.root
+
+    def _file(self, key: str) -> str:
+        # plain strings: pathlib (and np.memmap's Path.resolve) cost more
+        # than the I/O of a small entry
+        return f"{self.root}/{key[:2]}/{key}{self.suffix}"
+
+    def path(self, key: str) -> Path:
+        """The file backing ``key`` (tests and cache management)."""
+        return Path(self._file(key))
+
+    def _hit(self, path: str) -> None:
+        """Count a read hit and touch its mtime, the GC's LRU signal."""
+        self.hits += 1
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+
+    def _quarantine(self, path: str) -> None:
+        """Count a corrupt entry and move it to quarantine for triage."""
+        from .quarantine import quarantine_file
+
+        self.corrupt += 1
+        if quarantine_file(Path(path), self.cache_dir) is not None:
+            self.quarantined += 1
+
+    def _commit(self, key: str, chunks: Iterable[bytes | memoryview]) -> bool:
+        """Publish ``chunks`` as ``key``'s entry; False if a racer already had.
+
+        The first writer of a key wins and later writers leave its entry
+        alone.  Only a successful publish counts ``bytes_written``.
+        ``OSError`` propagates.
+        """
+        size = atomic_write(self._file(key), chunks, replace=False)
+        if size is None:
+            return False
+        self.bytes_written += size
+        return True
+
+    def clear(self) -> int:
+        """Delete every entry and legacy leftover; returns files removed."""
+        removed = 0
+        if self.root.is_dir():
+            for pattern in (f"*{self.suffix}",) + self.legacy_globs:
+                for p in self.root.glob(f"*/{pattern}"):
+                    try:
+                        p.unlink()
+                        removed += 1
+                    except OSError:
+                        pass
+        return removed
+
+
+class ArtifactCache(EntryStore):
+    """A directory of pickled artifacts, addressed by fingerprint."""
+
+    suffix = ".pkl"
+
+    def __init__(self, root: str | Path) -> None:
+        super().__init__(root)
+        self.bytes_read = 0  #: payload bytes served from disk
+        self._warned_unwritable = False
 
     def get(self, key: str, default: Any = None) -> Any:
         """Load the artifact for ``key``, or ``default`` on any failure."""
-        path = self._path(key)
+        path = self._file(key)
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
+                size = os.fstat(fh.fileno()).st_size
         except FileNotFoundError:
             self.misses += 1
             return default
@@ -138,54 +258,28 @@ class ArtifactCache:
             # truncated write, foreign bytes, unpicklable class — recover
             # by quarantining the entry (the evidence survives for triage)
             # and recomputing.
-            from .quarantine import quarantine_file
-
-            self.corrupt += 1
+            self._quarantine(path)
             self.misses += 1
-            if quarantine_file(path, self.root) is not None:
-                self.quarantined += 1
             return default
-        self.hits += 1
-        try:
-            self.bytes_read += path.stat().st_size
-            os.utime(path)  # LRU signal for the size-quota GC
-        except OSError:
-            pass
+        self.bytes_read += size
+        self._hit(path)
         return value
 
     def put(self, key: str, value: Any) -> None:
         """Store ``value`` under ``key`` atomically (safe under contention).
 
-        A per-key advisory lock deduplicates concurrent writers: the
-        loser waits for the winner, sees the entry exists, and skips its
-        own serialization+write.  The lock is best-effort — without it
-        (non-POSIX, unwritable dir) both writers proceed, which the
-        atomic replace still makes safe, just duplicated.
+        An entry that already exists is kept: telemetry- and
+        validate-forced reruns re-put stored keys, and a racing writer
+        that publishes first wins (see :meth:`EntryStore._commit`).
         """
-        path = self._path(key)
         try:
             if "REPRO_CHAOS" in os.environ:  # deferred: chaos imports cache
                 from .chaos import inject_cache_write_error
 
                 inject_cache_write_error(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            from .locks import file_lock
-
-            with file_lock(path.parent / f"{key}.lock"):
-                if path.exists():
-                    return  # a concurrent writer already persisted this key
-                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                        self.bytes_written += fh.tell()
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+            if os.path.exists(self._file(key)):
+                return
+            self._commit(key, [pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)])
         except OSError as exc:
             # a read-only or full cache dir degrades to a no-op, not a
             # crash — but say so once, or every future run re-simulates
@@ -203,18 +297,6 @@ class ArtifactCache:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of files removed."""
-        removed = 0
-        if self.root.is_dir():
-            for p in self.root.glob("*/*.pkl"):
-                try:
-                    p.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
 
 
 class NullCache:

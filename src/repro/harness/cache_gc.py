@@ -18,11 +18,13 @@ forever.  This module makes the store reclaimable:
   trips over it.
 
 An *entry* is one result pickle (``<kk>/<key>.pkl``) or one trace-plane
-file (``trace-plane/<kk>/<key>.trace``).  Schema-1 trace groups
-(``<key>.{gaps,lines,writes}.npy`` + ``<key>.meta.json``) are entries of
-kind ``legacy``: no reader loads them any more, so every collection pass
-deletes them whatever the quota.  Lock files, temp files and the
-quarantine/chaos administrative trees are never touched.
+file (``trace-plane/<kk>/<key>.trace``).  Leftovers of older layouts are
+entries of kind ``legacy``: the per-key ``<key>.lock`` files both stores
+used to leave behind, and schema-1 trace groups
+(``<key>.{gaps,lines,writes}.npy`` + ``<key>.meta.json``).  No reader
+uses them any more, so every collection pass deletes them whatever the
+quota.  Temp files and the quarantine/chaos administrative trees are
+never touched.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cache import ArtifactCache, default_cache_dir
-from .trace_plane import LEGACY_GLOBS, SUFFIX, TracePlane
+from .trace_plane import TracePlane
 
 __all__ = [
     "CacheEntry",
@@ -112,37 +114,32 @@ def iter_entries(root: str | Path | None = None) -> list[CacheEntry]:
     """Every entry under the cache dir, as whole evictable units."""
     root = Path(root) if root is not None else default_cache_dir()
     entries: list[CacheEntry] = []
-    for shard in _shard_dirs(root):
-        for pkl in shard.glob("*.pkl"):
-            try:
-                st = pkl.stat()
-            except OSError:
-                continue
-            entries.append(
-                CacheEntry(pkl.stem, "result", (pkl,), st.st_size, st.st_mtime)
-            )
-    for shard in _shard_dirs(root / "trace-plane"):
-        for path in shard.glob(f"*{SUFFIX}"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            key = path.name[: -len(SUFFIX)]
-            entries.append(CacheEntry(key, "trace", (path,), st.st_size, st.st_mtime))
-        legacy: dict[str, list[Path]] = {}
-        for pattern in LEGACY_GLOBS:
-            for path in shard.glob(pattern):
-                legacy.setdefault(path.name.split(".", 1)[0], []).append(path)
-        for key, paths in legacy.items():
-            size = mtime = 0
-            for p in paths:
+    for store, tree, kind in (
+        (ArtifactCache, root, "result"),
+        (TracePlane, root / "trace-plane", "trace"),
+    ):
+        for shard in _shard_dirs(tree):
+            for path in shard.glob(f"*{store.suffix}"):
                 try:
-                    st = p.stat()
+                    st = path.stat()
                 except OSError:
                     continue
-                size += st.st_size
-                mtime = max(mtime, st.st_mtime)
-            entries.append(CacheEntry(key, "legacy", tuple(paths), size, mtime))
+                key = path.name[: -len(store.suffix)]
+                entries.append(CacheEntry(key, kind, (path,), st.st_size, st.st_mtime))
+            legacy: dict[str, list[Path]] = {}
+            for pattern in store.legacy_globs:
+                for path in shard.glob(pattern):
+                    legacy.setdefault(path.name.split(".", 1)[0], []).append(path)
+            for key, paths in legacy.items():
+                size = mtime = 0
+                for p in paths:
+                    try:
+                        st = p.stat()
+                    except OSError:
+                        continue
+                    size += st.st_size
+                    mtime = max(mtime, st.st_mtime)
+                entries.append(CacheEntry(key, "legacy", tuple(paths), size, mtime))
     return entries
 
 

@@ -39,12 +39,11 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 import traceback as _traceback
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .cache import _canonical, default_cache_dir
+from .cache import _canonical, atomic_write, default_cache_dir
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runner import RunSpec
@@ -103,19 +102,8 @@ def result_digest(result: Any) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Atomic JSON write (temp + replace), matching the stores' discipline."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Atomic JSON write, rewriting any earlier version of the bundle."""
+    atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True).encode()], replace=True)
 
 
 def write_engine_fault_bundle(

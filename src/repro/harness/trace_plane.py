@@ -16,36 +16,35 @@ length ``n``, ``tail_instructions``) followed by ``gaps`` (int64 × n),
 the arrays.  A reader maps the file once and hands out three read-only
 ``np.memmap`` slices of it.
 
-The entry is written through a temp file and committed by one
-``os.replace``, so a writer that dies mid-store (crashed worker,
-kill -9) leaves at most a ``.tmp`` file, never a loadable-but-torn
-entry.  An entry is valid only if its magic and schema match and its
-size is exactly ``64 + 17 * n``; anything else is counted ``corrupt``,
-moved to ``<cache-dir>/quarantine/`` and reported as a miss — corruption
-is recovered by recomputing, never a crash, and the torn bytes survive
-for triage.  A per-key advisory lock (:mod:`~repro.harness.locks`)
-deduplicates concurrent prewarms of the same key: the losing writer
-waits, reads the winner's entry back, and skips its own store.  Read
-hits touch the file's mtime, giving the size-quota GC
-(:mod:`~repro.harness.cache_gc`) an LRU signal.  The plane obeys the
-same ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` knobs as the pickle cache.
+The entry is written through a temp file and published with one
+``os.link`` (:class:`~repro.harness.cache.EntryStore`), so a writer that
+dies mid-store (crashed worker, kill -9) leaves at most a ``.tmp`` file,
+never a loadable-but-torn entry, and the first of two concurrent
+prewarms of a key wins: the other reads the winner's entry back and
+skips its own store.  An entry is valid only if its magic and schema
+match and its size is exactly ``64 + 17 * n``; anything else is counted
+``corrupt``, moved to ``<cache-dir>/quarantine/`` and reported as a miss
+— corruption is recovered by recomputing, never a crash, and the torn
+bytes survive for triage.  Read hits touch the file's mtime, giving the
+size-quota GC (:mod:`~repro.harness.cache_gc`) an LRU signal.  The plane
+obeys the same ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` knobs as the pickle
+cache.
 
 Schema-1 stores kept three ``.npy`` files plus a ``.meta.json`` commit
-marker per entry; this reader ignores them, and :meth:`TracePlane.clear`
-and the GC delete them.
+marker per entry, and older stores one ``<key>.lock`` file; this reader
+ignores them, and :meth:`TracePlane.clear` and the GC delete them.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from ..workloads.trace import AccessTrace
-from .cache import cache_enabled, default_cache_dir
+from .cache import EntryStore, cache_enabled, default_cache_dir
 
 __all__ = [
     "PLANE_SCHEMA",
@@ -58,10 +57,6 @@ __all__ = [
 #: Bump when the on-disk layout changes; old entries are then dropped on load.
 PLANE_SCHEMA = 2
 
-#: entry file suffix; schema-1 leftovers are ``*.npy`` and ``*.meta.json``
-SUFFIX = ".trace"
-LEGACY_GLOBS = ("*.npy", "*.meta.json")
-
 _MAGIC = b"ROPTRACE"
 #: magic, schema, length, tail_instructions, zero padding to 64 bytes
 _HEADER = struct.Struct("<8sQqq32x")
@@ -70,31 +65,20 @@ _ARRAYS = (("gaps", np.int64), ("lines", np.int64), ("writes", np.bool_))
 _RECORD = sum(np.dtype(dt).itemsize for _, dt in _ARRAYS)  # bytes per access
 
 
-class TracePlane:
+class TracePlane(EntryStore):
     """A directory of one-file trace entries, addressed by content fingerprint."""
 
+    suffix = ".trace"
+    #: schema-1 entries were three ``.npy`` files plus a ``.meta.json`` marker
+    legacy_globs = EntryStore.legacy_globs + ("*.npy", "*.meta.json")
+
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-        self.corrupt = 0
-        self.quarantined = 0  #: corrupt entries moved to quarantine
+        super().__init__(root)
         self.stores = 0
-        self.write_errors = 0
-        self.bytes_written = 0
 
     @property
-    def enabled(self) -> bool:
-        return True
-
-    def _file(self, key: str) -> str:
-        # plain strings: pathlib (and np.memmap's Path.resolve) cost more
-        # than the I/O of a small entry
-        return f"{self.root}/{key[:2]}/{key}{SUFFIX}"
-
-    def path(self, key: str) -> Path:
-        """The file backing ``key`` (tests and cache management)."""
-        return Path(self._file(key))
+    def cache_dir(self) -> Path:
+        return self.root.parent
 
     # -- read ----------------------------------------------------------------
 
@@ -113,11 +97,7 @@ class TracePlane:
         except (OSError, ValueError, struct.error):
             # torn file, foreign bytes, stale schema — quarantine the
             # evidence and recompute
-            self.corrupt += 1
-            from .quarantine import quarantine_file
-
-            if quarantine_file(Path(path), self.root.parent) is not None:
-                self.quarantined += 1
+            self._quarantine(path)
             return None
         arrays = []
         offset = _HEADER.size
@@ -133,11 +113,7 @@ class TracePlane:
         if trace is None:
             self.misses += 1
         else:
-            self.hits += 1
-            try:
-                os.utime(self._file(key))  # LRU signal for the GC
-            except OSError:
-                pass
+            self._hit(self._file(key))
         return trace
 
     # -- write ---------------------------------------------------------------
@@ -150,14 +126,11 @@ class TracePlane:
         Returns None when the plane is unwritable or the readback failed
         (callers keep using the in-memory trace — never a crash).
 
-        A per-key advisory lock deduplicates concurrent prewarms: the
-        losing writer waits for the winner, reads the committed entry
-        back, and skips its own store (``stores`` is not incremented).
-        Arrays of another dtype are converted; a lossy conversion (say,
-        float lines) raises ``TypeError``.
+        When a concurrent prewarm published ``key`` first, its entry is
+        read back instead and ``stores`` is not incremented.  Arrays of
+        another dtype are converted; a lossy conversion (say, float
+        lines) raises ``TypeError``.
         """
-        from .locks import file_lock
-
         arrays = [
             np.ascontiguousarray(
                 getattr(trace, name).astype(dtype, casting="same_kind", copy=False)
@@ -165,58 +138,18 @@ class TracePlane:
             for name, dtype in _ARRAYS
         ]
         header = _HEADER.pack(_MAGIC, PLANE_SCHEMA, len(trace), int(trace.tail_instructions))
-
-        def write(fh) -> None:
-            fh.write(header)
-            for arr in arrays:
-                fh.write(arr.data)
-
-        path = self._file(key)
-        directory = os.path.dirname(path)
         try:
-            os.makedirs(directory, exist_ok=True)
-            with file_lock(f"{directory}/{key}.lock"):
-                existing = self._read(key)
-                if existing is not None:
-                    return existing  # a concurrent prewarm beat us to it
-                self._write_file(directory, path, write)
+            published = self._commit(key, [header] + [arr.data for arr in arrays])
         except OSError:
             self.write_errors += 1
             return None
-        self.stores += 1
-        if "REPRO_CHAOS" in os.environ:  # deferred: chaos imports this package
-            from .chaos import tear_plane_entry
+        if published:
+            self.stores += 1
+            if "REPRO_CHAOS" in os.environ:  # deferred: chaos imports this package
+                from .chaos import tear_plane_entry
 
-            tear_plane_entry(key, Path(path))
+                tear_plane_entry(key, self.path(key))
         return self._read(key)
-
-    def _write_file(self, directory: str, path: str, write) -> None:
-        """Atomic single-file write (temp + ``os.replace``), counting bytes."""
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write(fh)
-                self.bytes_written += fh.tell()
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def clear(self) -> int:
-        """Delete every entry and schema-1 leftover; returns files removed."""
-        removed = 0
-        if self.root.is_dir():
-            for pattern in (f"*{SUFFIX}",) + LEGACY_GLOBS:
-                for p in self.root.glob(f"*/{pattern}"):
-                    try:
-                        p.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
-        return removed
 
 
 class NullTracePlane:

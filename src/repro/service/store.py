@@ -23,13 +23,11 @@ keeps working from memory and simply loses restart durability.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..harness.cache import default_cache_dir
+from ..harness.cache import atomic_write, default_cache_dir
 
 __all__ = ["JOB_SCHEMA", "Job", "JobStore", "jobs_dir"]
 
@@ -99,18 +97,8 @@ class JobStore:
     def _journal(self, job: Job) -> None:
         """Persist ``job`` atomically; an unwritable dir degrades silently."""
         try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(asdict(job), fh, sort_keys=True)
-                os.replace(tmp, self.dir / f"{job.id}.json")
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            data = json.dumps(asdict(job), sort_keys=True).encode()
+            atomic_write(self.dir / f"{job.id}.json", [data], replace=True)
         except (OSError, TypeError, ValueError):
             self.journal_errors += 1
 

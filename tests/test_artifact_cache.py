@@ -1,5 +1,6 @@
 """Tests for the content-keyed artifact cache (harness/cache.py)."""
 
+import os
 import pickle
 
 import pytest
@@ -65,7 +66,7 @@ class TestArtifactCache:
         cache = ArtifactCache(tmp_path)
         key = "ef" + "0" * 38
         cache.put(key, [1, 2, 3])
-        path = cache._path(key)
+        path = cache.path(key)
         path.write_bytes(b"\x80garbage-not-a-pickle")
         # corrupted entry: treated as a miss, file removed, no crash
         assert cache.get(key, MISS) is MISS
@@ -78,7 +79,7 @@ class TestArtifactCache:
         cache = ArtifactCache(tmp_path)
         key = "0f" + "1" * 38
         cache.put(key, list(range(100)))
-        path = cache._path(key)
+        path = cache.path(key)
         path.write_bytes(pickle.dumps(list(range(100)))[:10])
         assert cache.get(key, MISS) is MISS
         assert cache.corrupt == 1
@@ -89,7 +90,7 @@ class TestArtifactCache:
         key = "ab" + "2" * 38
         cache.put(key, list(range(50)))
         torn_bytes = pickle.dumps(list(range(50)))[:7]
-        cache._path(key).write_bytes(torn_bytes)
+        cache.path(key).write_bytes(torn_bytes)
         assert cache.get(key, MISS) is MISS
         assert cache.quarantined == 1
         qdir = tmp_path / "quarantine"
@@ -109,6 +110,60 @@ class TestArtifactCache:
             cache.put(f"{i:02d}" + "0" * 38, i)
         assert cache.clear() == 5
         assert cache.get("00" + "0" * 38, MISS) is MISS
+
+
+def _racing_put(root, key, barrier, q):
+    """Child-process body: put one value into the shared cache dir."""
+    cache = ArtifactCache(root)
+    barrier.wait()  # maximize writer overlap
+    cache.put(key, list(range(5000)))
+    q.put(cache.bytes_written)
+
+
+class TestCommit:
+    def test_concurrent_puts_publish_once(self, tmp_path):
+        """Two processes racing on one key: one entry is published, and
+        only the winner counts its bytes."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        key = "cc" + "7" * 38
+        barrier = ctx.Barrier(2)
+        q = ctx.Queue()
+        procs = [
+            ctx.Process(target=_racing_put, args=(tmp_path, key, barrier, q))
+            for _ in range(2)
+        ]
+        for p in procs:
+            p.start()
+        written = [q.get(timeout=30) for _ in procs]
+        for p in procs:
+            p.join(timeout=30)
+            assert p.exitcode == 0
+        shard = tmp_path / key[:2]
+        assert [p.name for p in shard.iterdir()] == [f"{key}.pkl"]  # no .tmp/.lock
+        assert sum(written) == (shard / f"{key}.pkl").stat().st_size
+        assert ArtifactCache(tmp_path).get(key) == list(range(5000))
+
+    def test_without_hard_links_both_stores_still_publish(self, tmp_path, monkeypatch):
+        from repro.harness.trace_plane import TracePlane
+        from repro.workloads.trace import AccessTrace
+
+        def no_link(src, dst):
+            raise PermissionError("hard links not supported")
+
+        monkeypatch.setattr(os, "link", no_link)
+        key = "ab" + "1" * 38
+        cache = ArtifactCache(tmp_path)
+        cache.put(key, {"a": 1})
+        assert cache.write_errors == 0
+        assert ArtifactCache(tmp_path).get(key) == {"a": 1}
+        plane = TracePlane(tmp_path / "trace-plane")
+        trace = AccessTrace.from_lists([1, 2], [10, 20], [False, True], 5)
+        assert plane.store(key, trace) is not None
+        assert plane.stores == 1
+        assert TracePlane(plane.root).load(key).lines.tolist() == [10, 20]
+        assert not list(tmp_path.glob("**/*.tmp"))
 
 
 class TestGlobalCache:

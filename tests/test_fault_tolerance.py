@@ -80,7 +80,7 @@ class TestCrashIsolation:
         survivors = [s for s in specs if s.workloads != ("lbm",)]
         for s in survivors:
             assert results.ok(s)
-            assert cache._path(s.key).exists()
+            assert cache.path(s.key).exists()
         # the failure names the crashed spec
         assert len(results.failures) == 1
         failure = results.failures[0]
@@ -183,7 +183,7 @@ class TestFailFastVsKeepGoing:
         faults({"lbm": {"mode": "error"}})
         with pytest.raises(PlanExecutionError):
             execute_plan(specs, jobs=1, cache=cache, policy=policy())
-        assert cache._path(specs[0].key).exists()
+        assert cache.path(specs[0].key).exists()
 
     def test_keep_going_returns_partial_results(self, faults):
         specs = tiny_specs(("gobmk", "lbm", "bzip2"))
@@ -213,8 +213,8 @@ class TestInterrupt:
         finally:
             timer.cancel()
         # the fast specs completed and were flushed before the interrupt
-        assert cache._path(specs[0].key).exists()
-        assert cache._path(specs[1].key).exists()
+        assert cache.path(specs[0].key).exists()
+        assert cache.path(specs[1].key).exists()
         assert "re-run the same command to resume" in capfd.readouterr().err
 
         # resume: the cached specs are hits, only the missing two run
@@ -245,8 +245,8 @@ class TestInterrupt:
         finally:
             timer.cancel()
         # the fast chunk's two specs were flushed before the interrupt
-        assert cache._path(specs[0].key).exists()
-        assert cache._path(specs[1].key).exists()
+        assert cache.path(specs[0].key).exists()
+        assert cache.path(specs[1].key).exists()
         assert "re-run the same command to resume" in capfd.readouterr().err
 
         monkeypatch.delenv("REPRO_FAULTS")

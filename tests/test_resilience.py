@@ -25,7 +25,6 @@ from repro.harness.chaos import (
     fired,
     inject_epoch_fault,
 )
-from repro.harness.locks import file_lock
 from repro.harness.quarantine import (
     bundle_spec,
     list_bundles,
@@ -178,20 +177,6 @@ class TestChaosDirective:
         assert fired(9) == {}
 
 
-class TestFileLock:
-    def test_lock_acquired_and_released(self, tmp_path):
-        lock = tmp_path / "x.lock"
-        with file_lock(lock) as held:
-            assert held
-        # reacquirable after release
-        with file_lock(lock) as held:
-            assert held
-
-    def test_degrades_to_unlocked_on_unwritable_dir(self, tmp_path):
-        with file_lock(tmp_path / "no-such-dir" / "x.lock", timeout_s=0.1) as held:
-            assert not held  # degraded, but the context still runs
-
-
 class TestQuotaParsing:
     @pytest.mark.parametrize("raw,expect", [
         ("1024", 1024),
@@ -219,7 +204,7 @@ def _seed_entries(root, n, *, base_mtime=1_000_000_000):
         key = f"{i:02x}" + "e" * 38
         cache.put(key, list(range(100)))
         mtime = base_mtime + i * 100
-        os.utime(cache._path(key), (mtime, mtime))
+        os.utime(cache.path(key), (mtime, mtime))
         keys.append(key)
     return keys
 
@@ -260,7 +245,7 @@ class TestGarbageCollection:
         assert len(iter_entries(tmp_path)) == 3
         assert ArtifactCache(tmp_path).get(keys[0], MISS) is not MISS
 
-    def test_quarantine_and_locks_never_collected(self, tmp_path):
+    def test_quarantine_kept_and_stale_locks_collected(self, tmp_path):
         _seed_entries(tmp_path, 1)
         (tmp_path / "quarantine").mkdir()
         (tmp_path / "quarantine" / "evidence.quar").write_bytes(b"x" * 4096)
@@ -268,12 +253,12 @@ class TestGarbageCollection:
         lock.write_bytes(b"")
         collect(1, root=tmp_path)
         assert (tmp_path / "quarantine" / "evidence.quar").exists()
-        assert lock.exists()
+        assert not lock.exists()
 
     def test_usage_and_verify_heal_corruption(self, tmp_path):
         keys = _seed_entries(tmp_path, 2)
         cache = ArtifactCache(tmp_path)
-        cache._path(keys[0]).write_bytes(pickle.dumps([1])[:4])  # torn
+        cache.path(keys[0]).write_bytes(pickle.dumps([1])[:4])  # torn
         u = usage(tmp_path)
         assert u["entries"] == 2
         rep = verify(tmp_path)
@@ -281,7 +266,7 @@ class TestGarbageCollection:
         assert rep["corrupt"] == 1
         assert rep["bad"] == [f"result:{keys[0]}"]
         # the torn entry was quarantined by the read path, not left behind
-        assert not cache._path(keys[0]).exists()
+        assert not cache.path(keys[0]).exists()
         assert usage(tmp_path)["quarantined"] == 1
 
     def test_end_of_plan_auto_gc_protects_live_plan(self, tmp_path, monkeypatch):

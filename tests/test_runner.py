@@ -171,7 +171,7 @@ class TestExecutePlan:
         cfg = SystemConfig.single_core()
         spec = RunSpec.benchmark("gobmk", cfg, TINY)
         expect = execute_plan([spec], jobs=1, cache=cache)[spec]
-        cache._path(spec.key).write_bytes(b"not a pickle at all")
+        cache.path(spec.key).write_bytes(b"not a pickle at all")
         clear_result_memo()
         got = execute_plan([spec], jobs=1, cache=cache)[spec]
         assert last_stats().executed == 1  # recomputed, no crash

@@ -73,7 +73,7 @@ class TestStoreLoad:
         profile("gobmk").memory_trace(50_000, LLC, seed=9)
         root = trace_plane_dir()
         files = list(root.glob("*/*"))
-        assert [p.suffix for p in files if p.suffix != ".lock"] == [".trace"]
+        assert [p.suffix for p in files] == [".trace"]
 
     def test_meta_commit_marker_written_last_semantics(self, tmp_path):
         """An uncommitted write (a ``.tmp`` never renamed) is a plain miss."""
@@ -81,7 +81,7 @@ class TestStoreLoad:
         key = "ab" + "0" * 38
         trace = AccessTrace.from_lists([1, 2], [10, 20], [False, True], 5)
         assert plane.store(key, trace) is not None
-        # a writer killed before os.replace leaves only its temp file
+        # a writer killed before the commit leaves only its temp file
         path = plane.path(key)
         path.rename(path.with_name("tmpab12.tmp"))
         assert plane.load(key) is None
@@ -311,8 +311,8 @@ def _racing_store(root, key, barrier, q):
 
 class TestConcurrency:
     def test_concurrent_prewarms_store_once(self):
-        """Two processes racing on one key: the advisory lock picks one
-        writer; the loser reads the winner's committed entry back."""
+        """Two processes racing on one key: the first ``os.link`` publishes
+        the entry; the loser reads the winner's committed entry back."""
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
@@ -332,3 +332,14 @@ class TestConcurrency:
         assert sum(stores for stores, _ in outcomes) == 1
         assert all(ok for _, ok in outcomes)
         assert plane._read(key) is not None
+
+    def test_store_over_published_key_reads_winner_back(self, tmp_path):
+        key = "cd" + "1" * 38
+        winner = TracePlane(tmp_path / "plane")
+        winner.store(key, AccessTrace.from_lists([1, 2], [10, 20], [False, True], 5))
+        loser = TracePlane(tmp_path / "plane")
+        out = loser.store(key, AccessTrace.from_lists([7], [70], [True], 1))
+        assert out is not None and out.lines.tolist() == [10, 20]  # the winner's
+        assert loser.stores == 0
+        assert loser.bytes_written == 0
+        assert [p.name for p in (tmp_path / "plane" / "cd").iterdir()] == [f"{key}.trace"]
