@@ -17,7 +17,8 @@ Phases:
    ``REPRO_CHAOS=<seed>:<rate>`` armed, dispatched in two waves (wave 2
    resumes over wave 1's surviving cache) plus a final full-plan pass
    that must be served entirely from cache;
-3. *compare* — digests per spec key, failure counts, the fallback
+3. *compare* — digests per spec key (every member of a shared
+   simulation included), failure counts, the fallback
    ledger (an injected epoch fault must appear in
    ``RunnerStats.engine_fallbacks`` and leave a loadable quarantine
    bundle), and the chaos store's shards, which must hold only
@@ -41,6 +42,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
+#: profiles that also run through a 1 MB and a 4 MB LLC at the first
+#: seed: at soak length their traces match the 2 MB ones, so each forms a
+#: shared simulation that goes through the fault ladder as one
+SHARED_PROFILES = ("lbm", "gcc", "bzip2", "gobmk")
+
+
 def build_plan(instructions: int, seeds: tuple[int, ...]):
     from repro import SystemConfig
     from repro.harness import RunScale, RunSpec
@@ -54,6 +61,10 @@ def build_plan(instructions: int, seeds: tuple[int, ...]):
             scale = RunScale(instructions=instructions, seed=seed, training_refreshes=3)
             specs.append(RunSpec.benchmark(name, base, scale))
             specs.append(RunSpec.benchmark(name, rop, scale))
+    scale = RunScale(instructions=instructions, seed=seeds[0], training_refreshes=3)
+    for llc_bytes in (1 << 20, 4 << 20):
+        cfg = base.with_llc_size(llc_bytes)
+        specs += [RunSpec.benchmark(name, cfg, scale) for name in SHARED_PROFILES]
     return specs
 
 
@@ -129,12 +140,17 @@ def main() -> int:
     ok = True
     with tempfile.TemporaryDirectory(prefix="soak-") as tmp:
         t0 = time.perf_counter()
-        clean, clean_failures, _ = run_phase(
+        clean, clean_failures, clean_stats = run_phase(
             specs, Path(tmp) / "clean", args.jobs, chaos=None, waves=1
         )
+        clean_shared = clean_stats[0].shared
         print(f"fault-free: {len(clean)} results in "
               f"{time.perf_counter() - t0:.1f}s, "
-              f"{len(clean_failures)} failures")
+              f"{len(clean_failures)} failures, {clean_shared} shared")
+        if not clean_shared:
+            ok = False
+            print("FAIL: no spec shared a simulation; the LLC variants no "
+                  "longer exercise shared groups")
 
         t1 = time.perf_counter()
         chaos_dir = Path(tmp) / "chaos"
@@ -156,7 +172,8 @@ def main() -> int:
             f"{site}={n}" for site, n in sorted(counts.items())) or "(nothing)"))
         print(f"  absorbed: {total_fallbacks} engine fallbacks, "
               f"{total_rebuilds} pool rebuilds, "
-              f"{total_quarantined} quarantined")
+              f"{total_quarantined} quarantined; "
+              f"{sum(s.shared for s in stats_list)} shared")
 
         if clean_failures or chaos_failures:
             ok = False

@@ -413,6 +413,10 @@ def _cmd_cache(args) -> int:
         print(f"{verb} {res.evicted} entries ({_fmt_bytes(res.freed_bytes)}): "
               f"{_fmt_bytes(res.bytes_before)} -> {_fmt_bytes(res.bytes_after)} "
               f"against a {_fmt_bytes(res.quota)} quota; {res.kept} kept")
+        if res.legacy_removed:
+            verb = "would remove" if res.dry_run else "removed"
+            print(f"{verb} {res.legacy_removed} legacy leftovers "
+                  f"(per-key .lock files, schema-1 trace groups)")
         return 0
     rep = verify(root)
     for bad in rep["bad"]:

@@ -4,9 +4,11 @@ trace the DRAM controller sees.
 
 Cache hit/miss outcomes depend only on the *order* of accesses, never on
 their timing, so the filter runs once as a pure function and the resulting
-memory trace can be reused across every memory configuration — the
+memory trace is reused across every memory configuration — the
 decoupling that keeps the paper's LLC-size sensitivity sweeps affordable
-(see DESIGN.md §5).
+(see DESIGN.md §5).  The simulator never reads the LLC config itself, so
+specs whose filtered traces coincide (a working set that fits every LLC
+size of a sweep) share one simulation in the runner.
 
 The LLC is the component that creates the bursty, pattern-bearing traffic
 ROP's profiler exploits: hit runs produce silence at the memory level,

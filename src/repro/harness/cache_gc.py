@@ -69,8 +69,11 @@ class GcResult:
     quota: int
     bytes_before: int
     bytes_after: int
+    #: result and trace entries evicted (``freed_bytes``, ``evicted_keys``)
     evicted: int = 0
     freed_bytes: int = 0
+    #: legacy leftovers deleted, which every pass does whatever the quota
+    legacy_removed: int = 0
     kept: int = 0
     protected: int = 0
     dry_run: bool = False
@@ -207,7 +210,8 @@ def collect(
     ``protect`` holds keys a live plan still references (result keys and
     trace keys); protected entries are never evicted, even if the
     protected set alone exceeds the quota.  Legacy entries go first and
-    always: nothing can read them.
+    always, since nothing can read them; they are counted in
+    ``legacy_removed``, not as evictions.
     """
     entries = sorted(
         iter_entries(root), key=lambda e: (e.kind != "legacy", e.mtime, e.key)
@@ -225,9 +229,12 @@ def collect(
                     p.unlink()
                 except OSError:
                     pass
+        res.bytes_after -= entry.bytes
+        if entry.kind == "legacy":
+            res.legacy_removed += 1
+            continue
         res.evicted += 1
         res.freed_bytes += entry.bytes
-        res.bytes_after -= entry.bytes
         res.evicted_keys.append(entry.key)
     res.kept = len(kept)
     res.protected = sum(1 for e in kept if e.key in protect)

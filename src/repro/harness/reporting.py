@@ -175,6 +175,9 @@ def render_fig10_11(rows: list[dict]) -> str:
 def render_runner_stats(stats) -> str:
     """One-line execution summary: dedup, cache hits, jobs, wall clock.
 
+    ``N shared`` counts specs served by another spec's simulation in the
+    same plan (not simulated, and not a cache hit).
+
     ``stats`` is a :class:`~repro.harness.runner.RunnerStats` (from
     ``last_stats()`` for the most recent plan, or ``session_stats()``
     for the process aggregate).
@@ -187,6 +190,9 @@ def render_runner_stats(stats) -> str:
         f"simulated {stats.executed} with jobs={stats.jobs} | "
         f"wall {stats.wall_s:.2f}s"
     )
+    shared = getattr(stats, "shared", 0)
+    if shared:
+        line += f" | {shared} shared"
     chunks = getattr(stats, "chunks", 0)
     if chunks and stats.jobs > 1:
         line += f" | {chunks} chunks"

@@ -20,6 +20,11 @@ of looping, a driver *declares* its grid as :class:`RunSpec` points on a
   every unique memory trace is materialized once as a ``.trace`` file
   that workers memory-map instead of regenerating per process, grouped
   by CPU trace so each CPU trace is synthesized once per plan;
+* specs whose memory traces, DRAM-side config (``SystemConfig`` without
+  ``llc``, which only shapes the traces) and ``record_events`` coincide
+  **share one simulation**: the first one declared runs, and its result
+  is published under every member's own key (telemetry, validate and
+  audit specs always run on their own);
 * specs are dispatched in **chunks** of K per future (auto-sized from
   plan size and worker count, or pinned via
   ``ExecutionPolicy.chunk_size``), amortizing submission and
@@ -66,7 +71,7 @@ import time
 import traceback as _traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable
 
 from ..config import LlcConfig, SystemConfig
@@ -649,13 +654,19 @@ def _is_retryable(kind: str) -> bool:
 
 @dataclass
 class RunnerStats:
-    """Counters for one ``execute_plan`` call (or a session aggregate)."""
+    """Counters for one ``execute_plan`` call (or a session aggregate).
+
+    ``failed`` and ``timeouts`` count specs, so every member of a shared
+    simulation counts; ``executed``, ``retries``, ``engine_fallbacks`` and
+    ``quarantined`` count simulations and the events in them.
+    """
 
     requested: int = 0  #: specs declared (before dedup)
-    unique: int = 0  #: distinct simulations after dedup
+    unique: int = 0  #: distinct specs after dedup
     memo_hits: int = 0  #: served from the in-process memo
     cache_hits: int = 0  #: served from the persistent artifact cache
-    executed: int = 0  #: specs that entered execution at least once
+    executed: int = 0  #: simulations that entered execution at least once
+    shared: int = 0  #: specs served by another spec's simulation in the same plan
     jobs: int = 1  #: worker processes used
     wall_s: float = 0.0  #: wall-clock seconds for the whole plan
     retries: int = 0  #: resubmissions after transient failures
@@ -665,7 +676,7 @@ class RunnerStats:
     cache_write_errors: int = 0  #: artifact-cache puts that failed (results not persisted)
     engine_fallbacks: int = 0  #: epoch-engine faults absorbed by a scalar re-run
     quarantined: int = 0  #: quarantine items written (fault bundles + corrupt entries)
-    cache_evictions: int = 0  #: entries removed by the end-of-plan size-quota GC
+    cache_evictions: int = 0  #: result/trace entries evicted by the end-of-plan quota GC
     chunks: int = 0  #: worker dispatches (futures) the plan's specs were batched into
     cache_bytes_written: int = 0  #: bytes persisted to disk (results + trace plane)
     prewarm_s: float = 0.0  #: trace-plane prewarm before the plan's simulations
@@ -688,6 +699,7 @@ class RunnerStats:
         self.memo_hits += other.memo_hits
         self.cache_hits += other.cache_hits
         self.executed += other.executed
+        self.shared += other.shared
         self.jobs = max(self.jobs, other.jobs)
         self.wall_s += other.wall_s
         self.retries += other.retries
@@ -849,8 +861,11 @@ class _PlanRunner:
         policy: ExecutionPolicy,
         cache,
         stats: RunnerStats,
+        shared: "dict[str, list[tuple[str, RunSpec]]] | None" = None,
     ) -> None:
         self.specs: dict[str, RunSpec] = dict(todo)
+        #: representative key → the other specs its simulation serves
+        self.shared = shared or {}
         self.queue: deque[str] = deque(k for k, _ in todo)
         #: specs rerun one at a time after a pool break, to isolate the
         #: culprit: only the poisonous spec can break the fresh pool again
@@ -881,22 +896,29 @@ class _PlanRunner:
 
     # -- shared bookkeeping -------------------------------------------------
 
+    def _group(self, key: str) -> list[tuple[str, RunSpec]]:
+        """The specs whose outcome is ``key``'s simulation, ``key`` first."""
+        return [(key, self.specs[key]), *self.shared.get(key, ())]
+
     def _record_success(
         self,
         key: str,
         result: MulticoreResult,
         fallbacks: tuple[EngineFallback, ...] = (),
     ) -> None:
-        self.results[key] = result
-        _RESULT_MEMO[key] = result
         for fb in fallbacks:
-            self.fallbacks.append(fb)
             if fb.kind == "fault":
                 self.stats.engine_fallbacks += 1
                 if fb.quarantine:
                     self.stats.quarantined += 1
-        # flush immediately: a later crash or kill must not lose this
-        self.cache.put(key, result)
+        for member, spec in self._group(key):
+            self.results[member] = result
+            _RESULT_MEMO[member] = result
+            self.fallbacks.extend(
+                replace(fb, key=member, workloads=spec.workloads) for fb in fallbacks
+            )
+            # flush immediately: a later crash or kill must not lose this
+            self.cache.put(member, result)
 
     def _record_failure(self, key: str, exc: BaseException, kind: str) -> None:
         self._record_failure_info(
@@ -912,18 +934,19 @@ class _PlanRunner:
     ) -> None:
         """Terminal-failure bookkeeping from already-stringified exception
         info (worker-side chunk records arrive in this form)."""
-        if kind == "timeout":
-            self.stats.timeouts += 1
-        self.failures[key] = SpecFailure(
-            key=key,
-            workloads=self.specs[key].workloads,
-            kind=kind,
-            exc_type=exc_type,
-            message=message,
-            traceback=tb,
-            attempts=self.attempts[key],
-        )
-        self.stats.failed += 1
+        for member, spec in self._group(key):
+            if kind == "timeout":
+                self.stats.timeouts += 1
+            self.failures[member] = SpecFailure(
+                key=member,
+                workloads=spec.workloads,
+                kind=kind,
+                exc_type=exc_type,
+                message=message,
+                traceback=tb,
+                attempts=self.attempts[key],
+            )
+            self.stats.failed += 1
         if not self.policy.keep_going:
             self.aborted = True
 
@@ -1218,7 +1241,15 @@ class _PlanRunner:
         return _Guard()
 
 
-def prewarm_traces(specs: Iterable[RunSpec]) -> None:
+#: one memory trace's identity: (profile name, instructions, seed, LLC)
+TraceIdent = tuple[str, int, int, LlcConfig]
+
+
+def _trace_idents(spec: RunSpec) -> list[TraceIdent]:
+    return [(name, spec.instructions, spec.seed, spec.trace_llc) for name in spec.workloads]
+
+
+def prewarm_traces(specs: Iterable[RunSpec]) -> dict[TraceIdent, str]:
     """Materialize every unique memory trace once, ahead of the simulations.
 
     ``SpecProfile.memory_trace`` persists traces through the trace plane
@@ -1230,24 +1261,77 @@ def prewarm_traces(specs: Iterable[RunSpec]) -> None:
     memo synthesizes each CPU trace once per plan.  Failures are
     swallowed: the spec that actually needs the trace will re-raise
     with proper per-spec attribution.
+
+    Returns each materialized trace's
+    :meth:`~repro.workloads.trace.AccessTrace.content_digest`, keyed by
+    trace identity (a trace that failed has none).
     """
     from ..workloads import profile as _profile
     from ..workloads.spec_profiles import release_cpu_trace
 
-    idents = dict.fromkeys(
-        (name, spec.instructions, spec.seed, spec.trace_llc)
-        for spec in specs
-        for name in spec.workloads
-    )
+    idents = dict.fromkeys(ident for spec in specs for ident in _trace_idents(spec))
+    digests: dict[TraceIdent, str] = {}
     # stable sort on the CPU-trace identity: declaration order within it
-    for name, instructions, seed, llc in sorted(idents, key=lambda i: i[:3]):
+    for ident in sorted(idents, key=lambda i: i[:3]):
+        name, instructions, seed, llc = ident
         try:
-            _profile(name).memory_trace(instructions, llc, seed=seed)
+            trace = _profile(name).memory_trace(instructions, llc, seed=seed)
         except Exception:
-            pass
+            continue
+        digests[ident] = trace.content_digest()
     # the simulations read memory traces only: do not pin the last CPU
     # trace through them
     release_cpu_trace()
+    return digests
+
+
+#: the ``SystemConfig`` fields a simulation reads: all but ``llc``
+_SIM_CONFIG_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.name != "llc")
+
+
+def _share_simulations(
+    todo: list[tuple[str, RunSpec]],
+    digests: dict[TraceIdent, str],
+    audit: bool,
+) -> tuple[list[tuple[str, RunSpec]], dict[str, list[tuple[str, RunSpec]]]]:
+    """Group ``todo`` by simulation key; one representative runs per group.
+
+    The simulation key is what a run reads: the content digest of each
+    core's memory trace, the ``SystemConfig`` with ``llc`` blanked (the
+    LLC only shapes the traces) and ``record_events``.  A spec that asks
+    for observation (telemetry, validate, audit) or whose traces have no
+    digest stays on its own.  Returns the representatives, the first
+    spec declared of each group, in declaration order, and for each
+    representative key the other members it serves.
+    """
+    if audit or _env_flag("REPRO_AUDIT"):
+        return todo, {}
+    # the frozen configs' own hash is cheap, but their == equates 1 with
+    # 1.0: a coarse group of two or more is split by the fingerprint
+    coarse: dict[str, tuple] = {}
+    sizes: dict[tuple, int] = {}
+    for key, spec in todo:
+        traces = [digests.get(ident) for ident in _trace_idents(spec)]
+        observed = spec.audit or telemetry_enabled(spec) or validation_enabled(spec)
+        if observed or None in traces:
+            continue
+        sim_config = tuple(getattr(spec.config, name) for name in _SIM_CONFIG_FIELDS)
+        group = coarse[key] = (tuple(traces), sim_config, spec.record_events)
+        sizes[group] = sizes.get(group, 0) + 1
+    config_keys: dict[int, str] = {}  # id(config) → fingerprint
+    groups: dict[object, list[tuple[str, RunSpec]]] = {}
+    for key, spec in todo:
+        group: object = coarse.get(key, key)
+        if sizes.get(group, 0) > 1:
+            config_key = config_keys.get(id(spec.config))
+            if config_key is None:
+                config_key = fingerprint(replace(spec.config, llc=None))
+                config_keys[id(spec.config)] = config_key
+            group = (group, config_key)
+        groups.setdefault(group, []).append((key, spec))
+    reps = [members[0] for members in groups.values()]
+    shared = {members[0][0]: members[1:] for members in groups.values() if len(members) > 1}
+    return reps, shared
 
 
 def execute_plan(
@@ -1262,7 +1346,9 @@ def execute_plan(
     ``jobs=1`` executes in-process in declaration order — exactly the
     legacy sequential path.  ``jobs>1`` fans cache misses out over a
     process pool; results are identical because every simulation is a
-    pure function of its spec.
+    pure function of its spec.  Either way, cache misses whose memory
+    traces and DRAM-side config coincide share one simulation
+    (:func:`_share_simulations`).
 
     Failure semantics follow ``policy`` (see :class:`ExecutionPolicy`):
     by default the first terminal failure raises
@@ -1316,14 +1402,17 @@ def execute_plan(
     engine_fallbacks: tuple[EngineFallback, ...] = ()
     interrupted: str | None = None
     if todo:
-        runner = _PlanRunner(todo, jobs, policy, cache, stats)
+        shared: dict[str, list[tuple[str, RunSpec]]] = {}
         if len(todo) > 1:
             # materialize every trace up front, grouped by CPU trace, so
             # each CPU trace is synthesized once and pool workers mmap the
             # shared artifacts instead of regenerating one copy each
             t_warm = time.perf_counter()
-            prewarm_traces(spec for _, spec in todo)
+            digests = prewarm_traces(spec for _, spec in todo)
             stats.prewarm_s = time.perf_counter() - t_warm
+            todo, shared = _share_simulations(todo, digests, policy.audit)
+            stats.shared = sum(len(members) for members in shared.values())
+        runner = _PlanRunner(todo, jobs, policy, cache, stats, shared)
         if jobs > 1 and len(todo) > 1:
             runner.run_parallel()
         else:

@@ -16,6 +16,7 @@ levels of the hierarchy:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,6 +66,19 @@ class AccessTrace:
     def footprint_lines(self) -> int:
         """Distinct cache lines touched."""
         return int(np.unique(self.lines).size)
+
+    def content_digest(self) -> str:
+        """sha256 over the access arrays (dtypes included) and the tail.
+
+        Two traces with equal digests drive any simulation identically:
+        the runner uses this to simulate coinciding traces once.
+        """
+        arrays = (self.gaps, self.lines, self.writes)
+        head = ":".join([str(len(self)), str(self.tail_instructions)] + [a.dtype.str for a in arrays])
+        h = hashlib.sha256(head.encode())
+        for arr in arrays:
+            h.update(np.ascontiguousarray(arr).data)
+        return h.hexdigest()
 
     def slice(self, start: int, stop: int) -> "AccessTrace":
         """A view-like sub-trace of accesses [start, stop)."""

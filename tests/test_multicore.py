@@ -1,8 +1,15 @@
 """Integration tests for the multi-core co-simulation."""
 
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import SystemConfig
+from repro.config import LlcConfig
 from repro.cpu.multicore import place_traces, run_cores
+from repro.harness.quarantine import result_digest
+from repro.workloads import profile
 from repro.workloads.trace import AccessTrace
 
 
@@ -87,3 +94,42 @@ def test_deterministic_multicore():
         return (tuple(r.ipcs), r.stats.end_cycle, r.stats.row_hits)
 
     assert once() == once()
+
+
+# -- the LLC only shapes the traces -------------------------------------------
+
+#: the runner shares one simulation between specs whose traces and
+#: ``SystemConfig``-without-``llc`` coincide; that is sound only while the
+#: simulator never reads ``config.llc``
+_SHAPES = {
+    "single-rop": (("lbm",), SystemConfig.single_core().with_rop(training_refreshes=3)),
+    "quad-rank-partitioned": (
+        ("lbm", "gobmk", "libquantum", "bzip2"),
+        SystemConfig.quad_core(rank_partitioned=True).with_rop(training_refreshes=3),
+    ),
+}
+_REFERENCE: dict[tuple[str, str], str] = {}
+
+
+def _shape_traces(shape):
+    names, _ = _SHAPES[shape]
+    return [profile(n).memory_trace(30_000, LlcConfig(), seed=5) for n in names]
+
+
+@pytest.mark.parametrize("engine", ["scalar", "epoch"])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@settings(max_examples=3)
+@given(
+    llc=st.builds(
+        LlcConfig,
+        size_bytes=st.sampled_from([64 << 10, 512 << 10, 1 << 20, 4 << 20, 16 << 20]),
+        ways=st.sampled_from([4, 8, 16]),
+    )
+)
+def test_result_does_not_depend_on_config_llc(shape, engine, llc):
+    traces = _shape_traces(shape)
+    cfg = _SHAPES[shape][1]
+    if (shape, engine) not in _REFERENCE:
+        _REFERENCE[shape, engine] = result_digest(run_cores(traces, cfg, engine=engine))
+    got = result_digest(run_cores(traces, replace(cfg, llc=llc), engine=engine))
+    assert got == _REFERENCE[shape, engine]

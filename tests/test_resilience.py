@@ -255,6 +255,19 @@ class TestGarbageCollection:
         assert (tmp_path / "quarantine" / "evidence.quar").exists()
         assert not lock.exists()
 
+    def test_legacy_leftovers_are_not_evictions(self, tmp_path):
+        keys = _seed_entries(tmp_path, 2)
+        locks = [tmp_path / k[:2] / f"{k}.lock" for k in keys]
+        locks.append(tmp_path / "trace-plane" / "ab" / ("ab" + "0" * 38 + ".lock"))
+        for lock in locks:
+            lock.parent.mkdir(parents=True, exist_ok=True)
+            lock.write_bytes(b"")
+        res = collect(1 << 40, root=tmp_path)
+        assert res.legacy_removed == len(locks)
+        assert (res.evicted, res.freed_bytes, res.evicted_keys) == (0, 0, [])
+        assert res.kept == 2
+        assert not any(lock.exists() for lock in locks)
+
     def test_usage_and_verify_heal_corruption(self, tmp_path):
         keys = _seed_entries(tmp_path, 2)
         cache = ArtifactCache(tmp_path)

@@ -8,24 +8,31 @@ the REPRO_JOBS resolution rules.
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro import RefreshMode, SystemConfig
 from repro.harness import (
+    ExecutionPolicy,
+    PlanExecutionError,
     RunPlan,
     RunScale,
     RunSpec,
     alone_ipc,
     execute_plan,
     fig7_8_9_rop_comparison,
+    last_failures,
+    last_fallbacks,
     last_stats,
     resolve_jobs,
     run_mix,
     set_cache_enabled,
 )
+from repro.harness import runner
 from repro.harness.cache import ArtifactCache, NullCache
 from repro.harness.quarantine import result_digest
+from repro.harness.reporting import render_runner_stats
 from repro.harness.runner import clear_result_memo
 from repro.workloads import profile, spec_profiles
 from repro.workloads.spec_profiles import clear_trace_cache
@@ -254,6 +261,150 @@ class TestOneSynthesisPerPlan:
         clear_trace_cache()
         assert gcc.cpu_trace(TINY.instructions, seed=TINY.seed) is not trace
         assert sum(synth_calls.values()) == 2
+
+
+class TestSharedSimulations:
+    """Specs whose memory traces and DRAM-side config coincide share one
+    simulation; every member still gets its own memo, cache and records."""
+
+    #: LLC sizes through which every TINY trace filters to the same trace
+    SIZES = (1 << 20, 2 << 20, 4 << 20, 8 << 20)
+
+    @staticmethod
+    def _variants(name, sizes, cfg=None, **flags):
+        cfg = cfg or SystemConfig.single_core().with_rop(training_refreshes=3)
+        return [
+            replace(RunSpec.benchmark(name, cfg.with_llc_size(size), TINY), **flags)
+            for size in sizes
+        ]
+
+    @staticmethod
+    def _same_traces(specs):
+        digests = {
+            profile(n).memory_trace(s.instructions, s.trace_llc, seed=s.seed).content_digest()
+            for s in specs
+            for n in s.workloads
+        }
+        return len(digests) == 1
+
+    @pytest.fixture
+    def run_spec_calls(self, monkeypatch):
+        """Keys passed to ``run_spec``, in call order (in-process plans)."""
+        calls = []
+        real = runner.run_spec
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.key)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_spec", counting)
+        return calls
+
+    def test_one_simulation_per_group(self, run_spec_calls, tmp_path):
+        members = self._variants("bzip2", self.SIZES[:3])
+        assert self._same_traces(members)
+        # same traces but another DRAM-side config, and another trace
+        no_rop = self._variants("bzip2", self.SIZES[:1], cfg=SystemConfig.single_core())
+        small = self._variants("bzip2", (64 << 10,))
+        assert not self._same_traces(members + small)
+        specs = members + no_rop + small
+        cache = ArtifactCache(tmp_path)
+        results = execute_plan(specs, jobs=1, cache=cache)
+        # the first member declared represents its group
+        assert run_spec_calls == [members[0].key, no_rop[0].key, small[0].key]
+        stats = last_stats()
+        assert (stats.unique, stats.executed, stats.shared) == (5, 3, 2)
+        assert "2 shared" in render_runner_stats(stats)
+        for spec in specs:
+            assert spec.key in runner._RESULT_MEMO
+            assert cache.path(spec.key).exists()
+        for spec in members:
+            # bit-identical to the member's own solo run
+            assert result_digest(results[spec]) == result_digest(runner.run_spec(spec))
+
+        clear_result_memo()
+        execute_plan(specs, jobs=1, cache=cache)
+        stats = last_stats()
+        assert (stats.cache_hits, stats.executed, stats.shared) == (5, 0, 0)
+
+    def test_observation_specs_run_alone(self, run_spec_calls, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
+        plain = self._variants("gobmk", self.SIZES[:2])
+        telemetry, validate, audit = (
+            self._variants("gobmk", (size,), **{flag: True})[0]
+            for flag, size in zip(("telemetry", "validate", "audit"), (*self.SIZES[2:], 16 << 20))
+        )
+        specs = plain + [telemetry, validate, audit]
+        assert self._same_traces(specs)
+        execute_plan(specs, jobs=1, cache=NullCache())
+        assert run_spec_calls == [plain[0].key, telemetry.key, validate.key, audit.key]
+        assert last_stats().shared == 1
+        assert (tmp_path / f"gobmk-{telemetry.key[:12]}.trace.json").exists()
+
+    def test_observation_by_policy_or_env_disables_sharing(self, monkeypatch):
+        specs = self._variants("gobmk", self.SIZES)
+        todo = [(s.key, s) for s in specs]
+        digests = {ident: "same" for s in specs for ident in runner._trace_idents(s)}
+        reps, shared = runner._share_simulations(todo, digests, audit=False)
+        assert reps == todo[:1] and len(shared[specs[0].key]) == 3
+        assert runner._share_simulations(todo, digests, audit=True) == (todo, {})
+        for env in ("REPRO_AUDIT", "REPRO_TELEMETRY", "REPRO_VALIDATE"):
+            monkeypatch.setenv(env, "1")
+            assert runner._share_simulations(todo, digests, audit=False) == (todo, {})
+            monkeypatch.delenv(env)
+        # a trace whose prewarm failed has no digest: its spec runs alone
+        del digests[runner._trace_idents(specs[1])[0]]
+        reps, shared = runner._share_simulations(todo, digests, audit=False)
+        assert [k for k, _ in reps] == [specs[0].key, specs[1].key]
+
+    def test_representative_decline_reported_under_every_member(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "epoch")
+        darp = SystemConfig.single_core().with_refresh_mode(RefreshMode.DARP)
+        specs = self._variants("gobmk", self.SIZES[:3], cfg=darp)
+        results = execute_plan(specs, jobs=1, cache=NullCache())
+        assert last_stats().executed == 1
+        assert [(f.key, f.kind) for f in results.engine_fallbacks] == [
+            (s.key, "declined") for s in specs
+        ]
+        assert last_fallbacks() == results.engine_fallbacks
+
+    def test_representative_fault_fails_every_member(self, tmp_path, monkeypatch):
+        specs = self._variants("gobmk", self.SIZES[:3])
+        faults = tmp_path / "faults.json"
+        faults.write_text(json.dumps({"gobmk": {"mode": "error"}}))
+        monkeypatch.setenv("REPRO_FAULTS", str(faults))
+        keep_going = ExecutionPolicy(keep_going=True, backoff_s=0.0)
+        results = execute_plan(specs, jobs=1, cache=NullCache(), policy=keep_going)
+        assert len(results) == 0
+        assert [(f.key, f.kind) for f in results.failures] == [(s.key, "error") for s in specs]
+        assert last_failures() == results.failures
+        assert (last_stats().executed, last_stats().failed) == (1, 3)
+        with pytest.raises(PlanExecutionError) as err:
+            execute_plan(specs, jobs=1, cache=NullCache(), policy=ExecutionPolicy())
+        assert [f.key for f in err.value.failures] == [s.key for s in specs]
+
+    def test_representative_engine_fault_copied_to_members(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_ENGINE", "epoch")
+        monkeypatch.setenv("REPRO_CHAOS", "5:1.0:epoch-fault")
+        specs = self._variants("gobmk", self.SIZES[:3])
+        results = execute_plan(specs, jobs=1)
+        assert results.ok(*specs)
+        assert [(f.key, f.kind) for f in results.engine_fallbacks] == [
+            (s.key, "fault") for s in specs
+        ]
+        # one simulation faulted: one fallback, one quarantine bundle
+        assert (last_stats().engine_fallbacks, last_stats().quarantined) == (1, 1)
+
+    def test_parallel_equals_sequential_with_shared_groups(self):
+        specs = self._variants("gobmk", self.SIZES[:3]) + self._variants("lbm", self.SIZES[:2])
+        digests = []
+        for jobs in (1, 2):
+            clear_result_memo()
+            results = execute_plan(specs, jobs=jobs, cache=NullCache())
+            assert (last_stats().executed, last_stats().shared) == (2, 3)
+            digests.append([result_digest(results[s]) for s in specs])
+        assert digests[0] == digests[1]
 
 
 class TestAloneIpc:

@@ -39,6 +39,21 @@ def test_negative_gaps_rejected():
         AccessTrace.from_lists([-1], [1], [False])
 
 
+def test_content_digest_covers_every_field():
+    base = simple(5, tail=7)
+    assert base.content_digest() == simple(5, tail=7).content_digest()
+    changed = [
+        simple(5, tail=8),
+        simple(6, tail=7),
+        base.offset_lines(1),
+        AccessTrace(base.gaps, base.lines, ~base.writes, tail_instructions=7),
+        AccessTrace(base.gaps + 1, base.lines, base.writes, tail_instructions=7),
+        AccessTrace(base.gaps.astype(np.int32), base.lines, base.writes, tail_instructions=7),
+    ]
+    digests = {base.content_digest()} | {t.content_digest() for t in changed}
+    assert len(digests) == len(changed) + 1
+
+
 def test_slice():
     tr = simple(5, tail=9)
     sub = tr.slice(1, 3)

@@ -228,7 +228,8 @@ class TestLegacyEntries:
         kinds = {e.key: e.kind for e in iter_entries(plane_env)}
         assert kinds == {self.KEY: "legacy", live: "trace"}
         res = collect(1 << 40, root=plane_env)
-        assert res.evicted_keys == [self.KEY]
+        assert res.legacy_removed == 1
+        assert res.evicted_keys == []
         assert not any(p.exists() for p in legacy)
         assert plane.path(live).exists()
 
