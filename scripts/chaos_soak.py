@@ -42,14 +42,18 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 
-#: profiles that also run through a 1 MB and a 4 MB LLC at the first
-#: seed: at soak length their traces match the 2 MB ones, so each forms a
-#: shared simulation that goes through the fault ladder as one
+#: profiles that also run, at the first seed, through a 1 MB and a 4 MB
+#: LLC (at soak length their traces match the 2 MB ones), without refresh
+#: at two densities, and with a disabled non-default ROP: each variant
+#: shares a simulation with another spec, so shared groups go through
+#: the fault ladder as one
 SHARED_PROFILES = ("lbm", "gcc", "bzip2", "gobmk")
 
 
 def build_plan(instructions: int, seeds: tuple[int, ...]):
-    from repro import SystemConfig
+    from dataclasses import replace
+
+    from repro import RefreshMode, SystemConfig
     from repro.harness import RunScale, RunSpec
     from repro.workloads import SPEC_PROFILES
 
@@ -62,8 +66,13 @@ def build_plan(instructions: int, seeds: tuple[int, ...]):
             specs.append(RunSpec.benchmark(name, base, scale))
             specs.append(RunSpec.benchmark(name, rop, scale))
     scale = RunScale(instructions=instructions, seed=seeds[0], training_refreshes=3)
-    for llc_bytes in (1 << 20, 4 << 20):
-        cfg = base.with_llc_size(llc_bytes)
+    no_refresh = base.with_refresh_mode(RefreshMode.NONE)
+    variants = [base.with_llc_size(1 << 20), base.with_llc_size(4 << 20)]
+    # tRFC is all a density sets, and no refresh never reads it
+    variants += [no_refresh.with_density(4), no_refresh.with_density(32)]
+    # training_refreshes=3 against the default 50, with ROP off
+    variants.append(replace(rop, rop=replace(rop.rop, enabled=False)))
+    for cfg in variants:
         specs += [RunSpec.benchmark(name, cfg, scale) for name in SHARED_PROFILES]
     return specs
 
@@ -149,8 +158,8 @@ def main() -> int:
               f"{len(clean_failures)} failures, {clean_shared} shared")
         if not clean_shared:
             ok = False
-            print("FAIL: no spec shared a simulation; the LLC variants no "
-                  "longer exercise shared groups")
+            print("FAIL: no spec shared a simulation; the shared variants "
+                  "no longer exercise shared groups")
 
         t1 = time.perf_counter()
         chaos_dir = Path(tmp) / "chaos"

@@ -11,9 +11,11 @@ see DESIGN.md.
 Each driver declares its full (mix × system [× LLC size]) grid — mix
 co-simulations *and* the alone runs that feed the weighted-speedup
 denominator — on one :class:`~repro.harness.runner.RunPlan` and executes
-it once, so alone runs shared between systems (Baseline-RP and ROP use
-the same ROP-off memory) are simulated once and everything fans out over
-``REPRO_JOBS`` workers.
+it once, and everything fans out over ``REPRO_JOBS`` workers.  The
+Baseline-RP and ROP alone runs are distinct specs (their disabled
+``RopConfig``s differ in ``training_refreshes``), but both run on the same
+ROP-off memory, so they share one simulation through the simulation key
+(:func:`~repro.harness.runner.simulation_config`), not the spec key.
 """
 
 from __future__ import annotations

@@ -20,7 +20,8 @@ of looping, a driver *declares* its grid as :class:`RunSpec` points on a
   every unique memory trace is materialized once as a ``.trace`` file
   that workers memory-map instead of regenerating per process, grouped
   by CPU trace so each CPU trace is synthesized once per plan;
-* specs whose memory traces, DRAM-side config (``SystemConfig`` without
+* specs whose memory traces, :func:`simulation_config` (the
+  ``SystemConfig`` without the fields the simulator ignores, such as
   ``llc``, which only shapes the traces) and ``record_events`` coincide
   **share one simulation**: the first one declared runs, and its result
   is published under every member's own key (telemetry, validate and
@@ -71,10 +72,10 @@ import time
 import traceback as _traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
 
-from ..config import LlcConfig, SystemConfig
+from ..config import LlcConfig, RefreshConfig, RefreshMode, RopConfig, SystemConfig
 from ..cpu import MulticoreResult, run_cores
 from ..stats.invariants import InvariantViolation
 from ..workloads import mix_profiles, profile
@@ -108,6 +109,7 @@ __all__ = [
     "last_fallbacks",
     "session_stats",
     "set_execution_policy",
+    "simulation_config",
     "clear_result_memo",
 ]
 
@@ -223,7 +225,13 @@ class RunSpec:
     def alone(
         cls, name: str, llc: LlcConfig, scale: "RunScale", config: SystemConfig
     ) -> "RunSpec":
-        """Alone run (weighted-speedup denominator): ROP off, same memory."""
+        """Alone run (weighted-speedup denominator): ROP off, same memory.
+
+        The disabled ``RopConfig`` keeps ``config``'s other ROP fields, so
+        the alone runs of two systems that differ only there (Baseline-RP
+        and ROP) have distinct keys; they share one simulation through
+        :func:`simulation_config` instead.
+        """
         base = replace(config, rop=replace(config.rop, enabled=False))
         return cls(
             workloads=(name,),
@@ -1285,8 +1293,27 @@ def prewarm_traces(specs: Iterable[RunSpec]) -> dict[TraceIdent, str]:
     return digests
 
 
-#: the ``SystemConfig`` fields a simulation reads: all but ``llc``
-_SIM_CONFIG_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.name != "llc")
+def simulation_config(config: SystemConfig) -> SystemConfig:
+    """``config`` with every field the simulator ignores set to a default.
+
+    The simulation key of :func:`_share_simulations`: on the same memory
+    traces, two configs with equal simulation configs give bit-identical
+    results.  Blanked are
+
+    * ``llc`` — the LLC acts only through the traces it filters;
+    * a disabled ``rop``, collapsed to ``RopConfig()`` — no ``RopEngine``
+      is built, and both epoch kernels then use their no-engine defaults;
+    * under ``RefreshMode.NONE`` with ROP off, the other ``refresh``
+      fields and ``timings.refi``/``timings.rfc`` — no refresh is ever
+      scheduled.  An enabled ROP sizes its windows from ``refi``/``rfc``
+      (``RopConfig.window_base``), so with ROP on they stay.
+    """
+    rop = config.rop if config.rop.enabled else RopConfig()
+    refresh, timings = config.refresh, config.timings
+    if not refresh.enabled and not rop.enabled:
+        refresh = RefreshConfig(mode=RefreshMode.NONE)
+        timings = timings.with_refresh(refi=0, rfc=0)
+    return replace(config, llc=None, rop=rop, refresh=refresh, timings=timings)
 
 
 def _share_simulations(
@@ -1297,15 +1324,18 @@ def _share_simulations(
     """Group ``todo`` by simulation key; one representative runs per group.
 
     The simulation key is what a run reads: the content digest of each
-    core's memory trace, the ``SystemConfig`` with ``llc`` blanked (the
-    LLC only shapes the traces) and ``record_events``.  A spec that asks
-    for observation (telemetry, validate, audit) or whose traces have no
-    digest stays on its own.  Returns the representatives, the first
-    spec declared of each group, in declaration order, and for each
-    representative key the other members it serves.
+    core's memory trace, :func:`simulation_config` and
+    ``record_events``.  A spec that asks for observation (telemetry,
+    validate, audit) or whose traces have no digest stays on its own.
+    Returns the representatives, the first spec declared of each group,
+    in declaration order, and for each representative key the other
+    members it serves.
     """
     if audit or _env_flag("REPRO_AUDIT"):
         return todo, {}
+    # specs share config objects: canonicalize and fingerprint each once
+    sim_configs: dict[int, SystemConfig] = {}  # id(config) → simulation config
+    config_keys: dict[int, str] = {}  # id(config) → its fingerprint
     # the frozen configs' own hash is cheap, but their == equates 1 with
     # 1.0: a coarse group of two or more is split by the fingerprint
     coarse: dict[str, tuple] = {}
@@ -1315,17 +1345,18 @@ def _share_simulations(
         observed = spec.audit or telemetry_enabled(spec) or validation_enabled(spec)
         if observed or None in traces:
             continue
-        sim_config = tuple(getattr(spec.config, name) for name in _SIM_CONFIG_FIELDS)
+        sim_config = sim_configs.get(id(spec.config))
+        if sim_config is None:
+            sim_config = sim_configs[id(spec.config)] = simulation_config(spec.config)
         group = coarse[key] = (tuple(traces), sim_config, spec.record_events)
         sizes[group] = sizes.get(group, 0) + 1
-    config_keys: dict[int, str] = {}  # id(config) → fingerprint
     groups: dict[object, list[tuple[str, RunSpec]]] = {}
     for key, spec in todo:
         group: object = coarse.get(key, key)
         if sizes.get(group, 0) > 1:
             config_key = config_keys.get(id(spec.config))
             if config_key is None:
-                config_key = fingerprint(replace(spec.config, llc=None))
+                config_key = fingerprint(sim_configs[id(spec.config)])
                 config_keys[id(spec.config)] = config_key
             group = (group, config_key)
         groups.setdefault(group, []).append((key, spec))
@@ -1347,7 +1378,7 @@ def execute_plan(
     legacy sequential path.  ``jobs>1`` fans cache misses out over a
     process pool; results are identical because every simulation is a
     pure function of its spec.  Either way, cache misses whose memory
-    traces and DRAM-side config coincide share one simulation
+    traces and :func:`simulation_config` coincide share one simulation
     (:func:`_share_simulations`).
 
     Failure semantics follow ``policy`` (see :class:`ExecutionPolicy`):

@@ -23,6 +23,9 @@ is a test-only dependency (the validate CLI must not need it).
 
 from __future__ import annotations
 
+import enum
+from dataclasses import fields, replace
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -30,7 +33,9 @@ from ..config import (
     AddressMapScheme,
     CoreConfig,
     MemoryOrganization,
+    RefreshConfig,
     RefreshMode,
+    RopConfig,
     SystemConfig,
 )
 from ..workloads.trace import AccessTrace
@@ -45,6 +50,7 @@ __all__ = [
     "memory_traces",
     "fuzz_configs",
     "config_and_traces",
+    "ignored_field_variants",
 ]
 
 #: small geometry shared by all fuzz runs: 4 banks × 256 rows × 32 lines
@@ -224,8 +230,6 @@ def config_and_traces(draw, *, rop: bool | None = None):
     cfg = draw(fuzz_configs(rop=rop))
     n_cores = draw(st.sampled_from([1, 1, 2, 4]))
     if n_cores > 1:
-        from dataclasses import replace
-
         cfg = replace(
             cfg,
             organization=replace(cfg.organization, ranks=n_cores),
@@ -235,3 +239,50 @@ def config_and_traces(draw, *, rop: bool | None = None):
     if all(len(t) == 0 for t in traces):
         traces[0] = draw(uniform_traces(max_len=20))
     return cfg, traces
+
+
+def _values_like(default) -> st.SearchStrategy:
+    """Any value of ``default``'s type (for fields the simulator ignores)."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, enum.Enum):
+        return st.sampled_from(type(default))
+    if isinstance(default, int):
+        return st.integers(0, 1 << 16)
+    if isinstance(default, float):
+        return st.floats(0.0, 4.0)
+    if isinstance(default, tuple):
+        return st.tuples(*(_values_like(v) for v in default))
+    raise TypeError(f"no strategy for a field like {default!r}")
+
+
+def _any_instance(draw, cls, **fixed):
+    """``cls(**fixed)`` with every other field drawn at random."""
+    default = cls()
+    drawn = {
+        f.name: draw(_values_like(getattr(default, f.name)))
+        for f in fields(cls)
+        if f.name not in fixed
+    }
+    return cls(**drawn, **fixed)
+
+
+@st.composite
+def ignored_field_variants(draw, cfg: SystemConfig) -> SystemConfig:
+    """``cfg`` with ROP and/or refresh maybe switched off, and every field
+    the simulator then ignores drawn at random.
+
+    ROP off draws every other ``RopConfig`` field; ``RefreshMode.NONE``
+    draws every other ``RefreshConfig`` field and, with ROP off too,
+    ``timings.refi``/``timings.rfc``. All of these must leave the result
+    unchanged: this is what
+    :func:`repro.harness.runner.simulation_config` blanks.
+    """
+    if draw(st.booleans()):
+        cfg = replace(cfg, rop=_any_instance(draw, RopConfig, enabled=False))
+    if draw(st.booleans()):
+        cfg = replace(cfg, refresh=_any_instance(draw, RefreshConfig, mode=RefreshMode.NONE))
+    if not cfg.refresh.enabled and not cfg.rop.enabled:
+        refi, rfc = draw(st.integers(1, 1 << 20)), draw(st.integers(1, 1 << 20))
+        cfg = replace(cfg, timings=cfg.timings.with_refresh(refi=refi, rfc=rfc))
+    return cfg

@@ -13,7 +13,9 @@ Four angles, ordered from the committed configurations outward:
   adversarial trace/config strategies of :mod:`repro.validation.fuzz`
   and asserts digest equality on every generated point (configurations
   the epoch kernel declines are exercised through its scalar fallback,
-  which must also be invisible).
+  which must also be invisible); on the same points, every field the
+  runner's ``simulation_config`` blanks must leave both engines' results
+  unchanged.
 """
 
 from __future__ import annotations
@@ -21,17 +23,19 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SystemConfig
 from repro.cpu.multicore import run_cores
 from repro.kernel import ENGINES, resolve_engine
 from repro.telemetry import TraceSink
-from repro.harness.runner import core_llc_share
+from repro.harness.runner import core_llc_share, simulation_config
 from repro.validation.corpus import _SYSTEMS
-from repro.validation.fuzz import config_and_traces
+from repro.validation.fuzz import config_and_traces, ignored_field_variants
 from repro.workloads import mix_profiles, profile
 
 INSTR = 60_000
@@ -191,12 +195,24 @@ class TestMetamorphicFuzz:
         epoch = run_cores(list(traces), cfg, engine="epoch")
         assert _digest(scalar) == _digest(epoch)
 
+    @settings(max_examples=int(os.environ.get("REPRO_FUZZ_EXAMPLES", "25")))
+    @given(config_and_traces(), st.data())
+    def test_simulation_config_keeps_the_result(self, point, data):
+        """Every field ``simulation_config`` blanks is one the simulator
+        ignores: the canonical config (LLC restored) gives the same result
+        on both engines, so specs sharing it may share one simulation."""
+        cfg, traces = point
+        variant = data.draw(ignored_field_variants(cfg))
+        canonical = replace(simulation_config(variant), llc=variant.llc)
+        for engine in ENGINES:
+            assert _digest(run_cores(list(traces), variant, engine=engine)) == _digest(
+                run_cores(list(traces), canonical, engine=engine)
+            )
+
     def test_training_tick_prunes_every_rank_window(self):
         """Pinned falsifying point: one rank's training refresh starts past
         another's, so the scalar profilers prune arrivals the later-handled
         (earlier-starting) refresh would otherwise count in its B-window."""
-        from dataclasses import replace
-
         from repro.config import AddressMapScheme, RefreshMode
         from repro.validation.fuzz import FUZZ_ORG
         from repro.workloads.trace import AccessTrace

@@ -13,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro import RefreshMode, SystemConfig
+from repro.config import RefreshConfig, RopConfig
 from repro.harness import (
     ExecutionPolicy,
     PlanExecutionError,
@@ -22,6 +23,7 @@ from repro.harness import (
     alone_ipc,
     execute_plan,
     fig7_8_9_rop_comparison,
+    fig10_11_specs,
     last_failures,
     last_fallbacks,
     last_stats,
@@ -33,7 +35,8 @@ from repro.harness import runner
 from repro.harness.cache import ArtifactCache, NullCache
 from repro.harness.quarantine import result_digest
 from repro.harness.reporting import render_runner_stats
-from repro.harness.runner import clear_result_memo
+from repro.harness.runner import clear_result_memo, simulation_config
+from repro.harness.zoo import zoo_configs
 from repro.workloads import profile, spec_profiles
 from repro.workloads.spec_profiles import clear_trace_cache
 
@@ -264,7 +267,7 @@ class TestOneSynthesisPerPlan:
 
 
 class TestSharedSimulations:
-    """Specs whose memory traces and DRAM-side config coincide share one
+    """Specs whose memory traces and simulation config coincide share one
     simulation; every member still gets its own memo, cache and records."""
 
     #: LLC sizes through which every TINY trace filters to the same trace
@@ -396,6 +399,39 @@ class TestSharedSimulations:
         # one simulation faulted: one fallback, one quarantine bundle
         assert (last_stats().engine_fallbacks, last_stats().quarantined) == (1, 1)
 
+    def test_rop_system_alone_runs_share_baseline_rp(self, run_spec_calls, tmp_path):
+        """Figs. 10/11: the ROP system's alone runs differ from
+        Baseline-RP's only in the disabled ``training_refreshes``."""
+        specs = fig10_11_specs(("WL1",), TINY)
+        rop_alone = [
+            s for s in specs if not s.config.rop.enabled and s.config.rop.training_refreshes == 3
+        ]
+        assert len(rop_alone) == 4
+        cache = ArtifactCache(tmp_path)
+        results = execute_plan(specs, jobs=1, cache=cache)
+        stats = last_stats()
+        assert (stats.unique, stats.executed, stats.shared) == (15, 11, 4)
+        assert not {s.key for s in rop_alone} & set(run_spec_calls)
+        for spec in rop_alone:
+            assert result_digest(results[spec]) == result_digest(runner.run_spec(spec))
+
+        clear_result_memo()
+        execute_plan(specs, jobs=1, cache=cache)
+        stats = last_stats()
+        assert (stats.cache_hits, stats.executed) == (15, 0)
+
+    def test_no_refresh_densities_share_one_simulation(self, run_spec_calls):
+        """Zoo: tRFC is the only density knob, and ``none`` never reads it."""
+        grid = zoo_configs(TINY, policies=("auto_1x", "none"))
+        specs = {point: RunSpec.benchmark("gobmk", cfg, TINY) for point, cfg in grid.items()}
+        results = execute_plan(list(specs.values()), jobs=1, cache=NullCache())
+        assert (last_stats().unique, last_stats().executed) == (8, 5)
+        ran = Counter(name for (name, _), spec in specs.items() if spec.key in run_spec_calls)
+        assert ran == {"auto_1x": 4, "none": 1}
+        for (name, _), spec in specs.items():
+            if name == "none":
+                assert result_digest(results[spec]) == result_digest(runner.run_spec(spec))
+
     def test_parallel_equals_sequential_with_shared_groups(self):
         specs = self._variants("gobmk", self.SIZES[:3]) + self._variants("lbm", self.SIZES[:2])
         digests = []
@@ -405,6 +441,36 @@ class TestSharedSimulations:
             assert (last_stats().executed, last_stats().shared) == (2, 3)
             digests.append([result_digest(results[s]) for s in specs])
         assert digests[0] == digests[1]
+
+
+class TestSimulationConfig:
+    def test_blanks_what_the_simulator_ignores(self):
+        base = SystemConfig.single_core()
+        sim = simulation_config(base.with_llc_size(8 << 20))
+        assert sim.llc is None and sim == simulation_config(base)
+        # a disabled RopConfig collapses to the default
+        off = replace(base, rop=replace(base.rop, training_refreshes=5, sram_lines=16))
+        assert simulation_config(off).rop == RopConfig()
+        # no refresh and no ROP: refresh options and tRFC/tREFI blanked
+        none = base.with_refresh_mode(RefreshMode.NONE)
+        dense = none.with_density(32).with_refresh_opts(stagger=False)
+        assert simulation_config(dense) == simulation_config(none)
+        assert simulation_config(none).refresh == RefreshConfig(mode=RefreshMode.NONE)
+        assert (simulation_config(none).timings.refi, simulation_config(none).timings.rfc) == (0, 0)
+
+    def test_keeps_what_the_simulator_reads(self):
+        base = SystemConfig.single_core()
+        rop = base.with_rop(training_refreshes=5)
+        assert simulation_config(rop).rop == rop.rop
+        assert simulation_config(base.with_density(32)) != simulation_config(base)
+        # an enabled ROP sizes its windows from tREFI/tRFC and reads the
+        # refresh grid even when no refresh is issued
+        rop_none = rop.with_refresh_mode(RefreshMode.NONE)
+        sim = simulation_config(rop_none.with_density(32))
+        assert sim.timings == rop_none.with_density(32).timings
+        assert sim != simulation_config(rop_none)
+        stagger_off = rop_none.with_refresh_opts(stagger=False)
+        assert simulation_config(stagger_off).refresh == stagger_off.refresh
 
 
 class TestAloneIpc:
