@@ -44,6 +44,7 @@ from .harness import (
     set_cache_enabled,
     set_execution_policy,
 )
+from .validation import known_systems, system_config
 from .workloads import SPEC_PROFILES, WORKLOAD_MIXES, profile
 
 __all__ = ["main"]
@@ -426,64 +427,28 @@ def _cmd_cache(args) -> int:
     return 1 if rep["corrupt"] else 0
 
 
-def _load_plan_doc(path: str) -> dict:
-    """Read a plan-request JSON document from a file or stdin (``-``)."""
-    import json
-
-    raw = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return json.loads(raw)
-
-
 def _cmd_fingerprint(args) -> int:
-    """Print spec fingerprints for a plan without running anything."""
+    """Print the cache address of each benchmark's spec without running it."""
     from .harness import RunSpec, cached_result, spec_fingerprint
-    from .service import parse_plan_request, plan_fingerprint
-    from .service.specs import descriptor_label
 
-    if args.plan:
-        from .service import PlanRequestError
-
-        try:
-            doc = _load_plan_doc(args.plan)
-            descriptors, specs, _ = parse_plan_request(doc)
-        except (OSError, ValueError, PlanRequestError) as exc:
-            print(f"repro fingerprint: {exc}", file=sys.stderr)
-            return 2
-        labels = [descriptor_label(d) for d in descriptors]
-    else:
-        if not args.benchmarks:
-            print("repro fingerprint: name benchmarks or pass --plan FILE",
-                  file=sys.stderr)
-            return 2
-        scale = _scale(args)
-        from .validation import system_config
-
-        cfg = system_config(args.system)
-        if cfg.rop.enabled:
-            cfg = cfg.with_rop(training_refreshes=scale.training_refreshes)
-        specs = [RunSpec.benchmark(name, cfg, scale) for name in args.benchmarks]
-        labels = [f"{name}/{args.system}" for name in args.benchmarks]
-    for spec, label in zip(specs, labels):
-        key = spec_fingerprint(spec)
-        state = "cached" if cached_result(key) is not None else "absent"
-        print(f"{key}  {state:6s}  {label}")
-    print(f"{plan_fingerprint(specs)}  plan    ({len(specs)} specs, "
-          f"{len({spec_fingerprint(s) for s in specs})} unique)")
-    return 0
-
-
-def _cmd_serve(args) -> int:
-    """Start the HTTP simulation service."""
-    from .harness.cache import get_cache
-    from .harness.runner import resolve_jobs
-    from .service import run_server
-
-    _runner_opts(args)
-    if getattr(get_cache(), "root", None) is None:
-        print("repro serve: the service requires the artifact cache "
-              "(unset REPRO_CACHE=off / drop --no-cache)", file=sys.stderr)
+    unknown = [name for name in args.benchmarks if name not in SPEC_PROFILES]
+    if unknown:
+        print(f"repro fingerprint: unknown benchmark {unknown[0]!r}; "
+              f"known: {', '.join(SPEC_PROFILES)}", file=sys.stderr)
         return 2
-    return run_server(args.host, args.port, jobs=resolve_jobs(args.jobs))
+    try:
+        cfg = system_config(args.system)
+    except ValueError as exc:
+        print(f"repro fingerprint: {exc}", file=sys.stderr)
+        return 2
+    scale = _scale(args)
+    if cfg.rop.enabled:
+        cfg = cfg.with_rop(training_refreshes=scale.training_refreshes)
+    for name in args.benchmarks:
+        key = spec_fingerprint(RunSpec.benchmark(name, cfg, scale))
+        state = "cached" if cached_result(key) is not None else "absent"
+        print(f"{key}  {state:6s}  {name}/{args.system}")
+    return 0
 
 
 def _cmd_characterize(args) -> int:
@@ -703,31 +668,14 @@ def build_parser() -> argparse.ArgumentParser:
     csp.set_defaults(func=_cmd_cache)
 
     sp = sub.add_parser(
-        "serve",
-        help="start the HTTP simulation service (async job plane over "
-             "the artifact cache; POST /plans, GET /results/{fingerprint})",
-    )
-    sp.add_argument("--host", default="127.0.0.1",
-                    help="bind address (default 127.0.0.1)")
-    sp.add_argument("--port", type=int, default=8787,
-                    help="TCP port; 0 binds an ephemeral port and prints it "
-                         "(default 8787)")
-    common(sp)
-    sp.set_defaults(func=_cmd_serve)
-
-    sp = sub.add_parser(
         "fingerprint",
-        help="print the stable content fingerprints (cache addresses / "
-             "service ETags) of a plan without running it",
+        help="print the content fingerprints (cache addresses) of benchmark "
+             "runs, and whether each is cached, without running them",
     )
-    sp.add_argument("benchmarks", nargs="*",
-                    help="benchmark names (alternative to --plan)")
-    sp.add_argument("--plan", default=None, metavar="FILE",
-                    help="plan-request JSON file ('-' for stdin) in the "
-                         "POST /plans wire format")
+    sp.add_argument("benchmarks", nargs="+", help="benchmark names")
     sp.add_argument("--system", default="baseline",
-                    help="system flavor for positional benchmarks "
-                         "(default baseline; see repro validate --list)")
+                    help="system flavor (default baseline): "
+                         + ", ".join(known_systems()))
     common(sp)
     sp.set_defaults(func=_cmd_fingerprint)
 

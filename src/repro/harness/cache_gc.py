@@ -1,9 +1,9 @@
 """Size-quota garbage collection for the shared artifact store.
 
-A service that runs policy-matrix sweeps (DARP/SARP-sized grids, RAIDR
-density sweeps) against one shared ``REPRO_CACHE_DIR`` grows it without
-bound: every result pickle and every trace-plane artifact persists
-forever.  This module makes the store reclaimable:
+Policy-matrix sweeps (DARP/SARP-sized grids, RAIDR density sweeps)
+run against one shared ``REPRO_CACHE_DIR`` grow it without bound:
+every result pickle and every trace-plane artifact persists forever.
+This module makes the store reclaimable:
 
 * ``REPRO_CACHE_QUOTA`` (or ``repro cache gc --quota``) bounds the
   store's total size — ``500M``, ``2G``, or plain bytes;

@@ -250,10 +250,10 @@ def spec_fingerprint(spec: RunSpec) -> str:
     canonicalized workload set, full :class:`~repro.config.SystemConfig`,
     trace-LLC geometry, run length, seed and ``record_events`` flag, all
     under the current ``CACHE_SCHEMA``.  Two processes (or two hosts)
-    always agree on it, which is what lets the service plane
-    (:mod:`repro.service`) use fingerprints as public result addresses
-    and ETags.  Observation-only fields (``audit``, ``telemetry``,
-    ``validate``) are excluded — they never change the result.
+    always agree on it, so ``repro fingerprint`` can print a result's
+    address without running it.  Observation-only fields (``audit``,
+    ``telemetry``, ``validate``) are excluded — they never change the
+    result.
     """
     return spec.key
 
@@ -263,8 +263,7 @@ def cached_result(key: str) -> MulticoreResult | None:
 
     Read-through order matches :func:`execute_plan`: the in-process memo
     first, then the persistent artifact cache (a disk hit is promoted
-    into the memo).  Never simulates — this is the service plane's
-    cheap ``GET`` path.
+    into the memo).  Never simulates.
     """
     memoized = _RESULT_MEMO.get(key)
     if memoized is not None:

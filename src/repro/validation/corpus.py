@@ -78,22 +78,22 @@ _SYSTEMS = {
 
 
 def known_systems() -> list[str]:
-    """The system-flavor names corpus entries and service plans may use."""
+    """The system-flavor names corpus entries and ``repro fingerprint`` take."""
     return sorted(_SYSTEMS)
 
 
 def system_config(name: str) -> SystemConfig:
     """Materialize a named system flavor; raises ValueError when unknown.
 
-    Shared vocabulary between the validation corpus and the service
-    plane's plan-request codec (:mod:`repro.service.specs`) — one place
-    defines what ``"rop"`` or ``"elastic"`` means.
+    Shared vocabulary between the validation corpus and
+    ``repro fingerprint --system`` — one place defines what ``"rop"`` or
+    ``"elastic"`` means.
     """
     try:
         return _SYSTEMS[name]()
     except KeyError:
         raise ValueError(
-            f"unknown system {name!r}; known: {sorted(_SYSTEMS)}"
+            f"unknown system {name!r}; known: {', '.join(known_systems())}"
         ) from None
 
 

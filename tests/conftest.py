@@ -59,6 +59,22 @@ def _isolated_artifact_cache(tmp_path_factory):
 
 
 @pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """Artifact cache ON in a per-test dir, result memo cleared around the test.
+
+    CI exports ``REPRO_CACHE=off``; tests that read cache state back need
+    it on.
+    """
+    from repro.harness.runner import clear_result_memo
+
+    monkeypatch.setenv("REPRO_CACHE", "on")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    clear_result_memo()
+    yield
+    clear_result_memo()
+
+
+@pytest.fixture
 def timings():
     """The paper's DDR4-1600 timing set."""
     return DDR4_1600

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro import LlcConfig, RefreshMode, SystemConfig
+from repro.harness import RunScale, RunSpec, cached_result, execute_plan, spec_fingerprint
 from repro.harness.cache import (
     MISS,
     ArtifactCache,
@@ -16,6 +17,8 @@ from repro.harness.cache import (
     get_cache,
     set_cache_enabled,
 )
+from repro.harness.cache_gc import usage
+from repro.harness.quarantine import result_digest
 
 
 class TestFingerprint:
@@ -212,3 +215,39 @@ class TestGlobalCache:
         assert (t1.writes == t2.writes).all()
         assert t1.tail_instructions == t2.tail_instructions
         clear_trace_cache()
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestFingerprintApi:
+    def test_spec_fingerprint_is_the_cache_address(self):
+        spec = RunSpec.benchmark(
+            "lbm", SystemConfig.single_core(), RunScale(instructions=60_000, seed=2)
+        )
+        assert spec_fingerprint(spec) == spec.key
+        assert cached_result(spec.key) is None
+        results = execute_plan([spec], jobs=1)
+        assert cached_result(spec.key) is not None
+        assert result_digest(cached_result(spec.key)) == result_digest(
+            results[spec]
+        )
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestCacheStatsExtensions:
+    def test_usage_reports_quarantine_and_chaos(self):
+        root = get_cache().root
+        (root / "quarantine").mkdir(parents=True)
+        (root / "quarantine" / "case.json").write_text("{}" * 40)
+        (root / "chaos" / "seed-7").mkdir(parents=True)
+        (root / "chaos" / "seed-7" / "marker").write_text("x")
+        stats = usage(root)
+        assert stats["quarantined"] == 1
+        assert stats["quarantine_bytes"] == 80
+        assert stats["chaos_seeds"] == ["seed-7"]
+        assert stats["chaos_markers"] == 1
+        assert stats["chaos_bytes"] == 1
+
+    def test_usage_zero_when_dirs_absent(self):
+        stats = usage(get_cache().root)
+        assert stats["quarantined"] == 0
+        assert stats["chaos_seeds"] == []

@@ -157,3 +157,33 @@ def test_keep_going_renders_survivors_and_failures(tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert "lbm" in captured.out          # the surviving benchmark rendered
     assert "spec(s) failed" in captured.err  # and the failure was listed
+
+
+def test_fingerprint_absent_then_cached_after_fig7(fresh_cache, capsys):
+    from repro.harness.runner import clear_result_memo
+
+    argv = ["fingerprint", "lbm", "--system", "rop", "--scale", "smoke"]
+    assert main(argv) == 0
+    key, state, label = capsys.readouterr().out.split()
+    assert len(key) == 40 and state == "absent" and label == "lbm/rop"
+    assert main(["fig", "7", "lbm", "--scale", "smoke"]) == 0
+    capsys.readouterr()
+    clear_result_memo()  # the address must resolve from disk, not the memo
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split() == [key, "cached", "lbm/rop"]
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["lbm", "--system", "warp"], "unknown system 'warp'"),
+        (["nope"], "unknown benchmark 'nope'"),
+    ],
+)
+def test_fingerprint_rejects_unknown_names(argv, needle, capsys):
+    assert main(["fingerprint", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("repro fingerprint: ") and needle in lines[0]
