@@ -16,7 +16,9 @@ Phases:
 2. *chaos* — the same plan in another fresh cache dir with
    ``REPRO_CHAOS=<seed>:<rate>`` armed, dispatched in two waves (wave 2
    resumes over wave 1's surviving cache) plus a final full-plan pass
-   that must be served entirely from cache;
+   that must be served entirely from cache.  Wave 2 arms a spec timeout
+   (one future per worker in flight, not two), so slow specs run under
+   a live deadline;
 3. *compare* — digests per spec key (every member of a shared
    simulation included), failure counts, the fallback
    ledger (an injected epoch fault must appear in
@@ -49,6 +51,9 @@ sys.path.insert(0, str(ROOT / "src"))
 #: the fault ladder as one
 SHARED_PROFILES = ("lbm", "gcc", "bzip2", "gobmk")
 
+#: chaos wave 2's spec timeout: far above any soak spec + ``SLOW_SPEC_S``
+WAVE2_TIMEOUT_S = 60.0
+
 
 def build_plan(instructions: int, seeds: tuple[int, ...]):
     from dataclasses import replace
@@ -79,6 +84,8 @@ def build_plan(instructions: int, seeds: tuple[int, ...]):
 
 def run_phase(specs, cache_dir: Path, jobs: int, chaos: str | None, waves: int):
     """Execute ``specs`` against ``cache_dir``; returns (digests, stats list)."""
+    from dataclasses import replace
+
     from repro.harness import ExecutionPolicy
     from repro.harness.quarantine import result_digest
     from repro.harness.runner import clear_result_memo, execute_plan, last_stats
@@ -96,9 +103,10 @@ def run_phase(specs, cache_dir: Path, jobs: int, chaos: str | None, waves: int):
     clear_result_memo()
     clear_trace_cache()
 
-    # max_attempts=8: every pool break charges an attempt to each in-flight
-    # casualty, so a storm of injected worker crashes can cost an innocent
-    # spec several attempts; the soak sizes the budget for the storm
+    # max_attempts=8: every pool break charges an attempt to each of the
+    # up to 2×jobs in-flight casualties, so a storm of injected worker
+    # crashes can cost an innocent spec several attempts; the soak sizes
+    # the budget for the storm
     policy = ExecutionPolicy(keep_going=True, backoff_s=0.01, max_attempts=8)
     digests: dict[str, str] = {}
     failures = []
@@ -108,7 +116,10 @@ def run_phase(specs, cache_dir: Path, jobs: int, chaos: str | None, waves: int):
         wave = specs[w * per_wave:(w + 1) * per_wave]
         if not wave:
             continue
-        results = execute_plan(wave, jobs=jobs, policy=policy)
+        timeout = WAVE2_TIMEOUT_S if chaos and w == 1 else None
+        results = execute_plan(
+            wave, jobs=jobs, policy=replace(policy, spec_timeout_s=timeout)
+        )
         failures.extend(results.failures)
         stats_list.append(last_stats())
         for spec in wave:

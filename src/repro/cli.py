@@ -485,12 +485,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def scale_flags(sp):
         sp.add_argument("--scale", default="default",
                         choices=("smoke", "default", "paper"))
         sp.add_argument("--instructions", type=int, default=0,
                         help="override the scale's instruction count")
         sp.add_argument("--seed", type=int, default=1)
+
+    def common(sp):
+        """Scale flags plus the runner flags of commands that execute plans."""
+        scale_flags(sp)
         sp.add_argument("--jobs", type=int, default=None,
                         help="parallel simulation workers "
                              "(default: REPRO_JOBS or 1; 0 = all CPUs)")
@@ -634,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         "characterize", help="trace statistics (MPKI, burstiness, predictability)"
     )
     sp.add_argument("benchmarks", nargs="+")
-    common(sp)
+    scale_flags(sp)
     sp.set_defaults(func=_cmd_characterize)
 
     sp = sub.add_parser(
@@ -676,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--system", default="baseline",
                     help="system flavor (default baseline): "
                          + ", ".join(known_systems()))
-    common(sp)
+    scale_flags(sp)
     sp.set_defaults(func=_cmd_fingerprint)
 
     sp = sub.add_parser(

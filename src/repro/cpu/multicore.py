@@ -121,7 +121,7 @@ def run_cores(
 
     ``fallback_reasons``, when a list is passed, collects the epoch
     kernel's decline reason (if any) for this call — per-call state, so
-    concurrent specs in one chunk each see their own reason.
+    the specs one worker runs each see their own reason.
     """
     from ..kernel import resolve_engine, run_epoch_kernel
 

@@ -190,15 +190,10 @@ def render_runner_stats(stats) -> str:
         f"simulated {stats.executed} with jobs={stats.jobs} | "
         f"wall {stats.wall_s:.2f}s"
     )
-    shared = getattr(stats, "shared", 0)
-    if shared:
-        line += f" | {shared} shared"
-    chunks = getattr(stats, "chunks", 0)
-    if chunks and stats.jobs > 1:
-        line += f" | {chunks} chunks"
-    written = getattr(stats, "cache_bytes_written", 0)
-    if written:
-        line += f" | cache +{written / (1 << 20):.1f} MiB"
+    if stats.shared:
+        line += f" | {stats.shared} shared"
+    if stats.cache_bytes_written:
+        line += f" | cache +{stats.cache_bytes_written / (1 << 20):.1f} MiB"
     # fault-tolerance counters only appear when something went wrong, so
     # the clean-run line stays stable
     extras = [
@@ -208,10 +203,10 @@ def render_runner_stats(stats) -> str:
             ("timeouts", stats.timeouts),
             ("failed", stats.failed),
             ("pool rebuilds", stats.pool_rebuilds),
-            ("cache write errors", getattr(stats, "cache_write_errors", 0)),
-            ("engine fallbacks", getattr(stats, "engine_fallbacks", 0)),
-            ("quarantined", getattr(stats, "quarantined", 0)),
-            ("cache evictions", getattr(stats, "cache_evictions", 0)),
+            ("cache write errors", stats.cache_write_errors),
+            ("engine fallbacks", stats.engine_fallbacks),
+            ("quarantined", stats.quarantined),
+            ("cache evictions", stats.cache_evictions),
         )
         if count
     ]

@@ -26,21 +26,19 @@ of looping, a driver *declares* its grid as :class:`RunSpec` points on a
   **share one simulation**: the first one declared runs, and its result
   is published under every member's own key (telemetry, validate and
   audit specs always run on their own);
-* specs are dispatched in **chunks** of K per future (auto-sized from
-  plan size and worker count, or pinned via
-  ``ExecutionPolicy.chunk_size``), amortizing submission and
-  result-pipe overhead on large plans.
+* every pool future carries **one spec**, with up to two per worker in
+  flight so a worker never idles while the parent stores the last
+  result.
 
-Execution is **fault tolerant**: outcomes are tracked per *spec*, never
-per chunk, so one worker crash, hang or pathological config loses only
-the culprit spec.  The behaviour is governed by
-:class:`ExecutionPolicy`:
+Execution is **fault tolerant**: outcomes are tracked per spec, so one
+worker crash, hang or pathological config loses only the culprit spec.
+In-process and pool outcomes are settled by the same code.  The
+behaviour is governed by :class:`ExecutionPolicy`:
 
 * failures are classified (:class:`SpecFailure` — ``transient``,
-  ``worker-lost``, ``timeout``, ``invariant``, ``error``) *inside the
-  worker*, so a deterministic error in one spec never poisons its
-  chunk-mates; transient failures are retried with exponential backoff
-  up to ``max_attempts``, resubmitting only the failed spec;
+  ``worker-lost``, ``timeout``, ``invariant``, ``error``) where the spec
+  ran; transient failures are retried with exponential backoff up to
+  ``max_attempts``, resubmitting only the failed spec;
 * a broken process pool is rebuilt (suspect specs are re-run one at a
   time to isolate the culprit) and, past ``max_pool_rebuilds``,
   execution degrades to in-process;
@@ -318,8 +316,8 @@ class EngineFallback:
     """One spec's epoch→scalar engine fallback (threaded per spec).
 
     Replaces the old module-global ``kernel.last_fallback()``: reasons
-    are carried per spec through the chunk result records, so one
-    chunk-mate's fallback can never masquerade as another's.
+    travel in the spec's own outcome record, so one spec's fallback can
+    never masquerade as another's.
     """
 
     key: str
@@ -462,52 +460,35 @@ def run_spec(
     return result
 
 
-def _run_chunk(specs: list[RunSpec], audit: bool) -> list[tuple]:
-    """Worker entry for a batch of specs: per-spec outcome records.
+def _err_record(exc: BaseException, kind: str | None = None) -> tuple:
+    """An ``err`` outcome record for ``exc`` (see :func:`_run_one`)."""
+    return (
+        "err",
+        kind or classify_failure(exc),
+        type(exc).__name__,
+        str(exc),
+        "".join(_traceback.format_exception(exc)),
+    )
 
-    Failures are captured and classified *here*, in the worker, so a
-    deterministic error in one spec is attributed to that spec alone and
-    never costs its chunk-mates their results.  Each record is either
-    ``(key, "ok", result, fallbacks)`` — ``fallbacks`` a tuple of this
-    spec's :class:`EngineFallback` records — or ``(key, "err", kind,
-    exc_type, message, traceback)`` — exception *strings*, not exception
-    objects, so a result pipe can never fail on an unpicklable
+
+def _run_one(spec: RunSpec, audit: bool) -> tuple:
+    """Run one spec and return its outcome record (also the worker entry).
+
+    Failures are captured and classified *here*, where the spec ran.
+    The record is either ``("ok", result, fallbacks)`` — ``fallbacks`` a
+    tuple of this spec's :class:`EngineFallback` records — or ``("err",
+    kind, exc_type, message, traceback)`` — exception *strings*, not
+    exception objects, so a result pipe can never fail on an unpicklable
     exception.  A worker that dies outright (crash, OOM kill) returns
     nothing; the parent sees ``BrokenExecutor`` and falls back to serial
     culprit isolation.
     """
-    records: list[tuple] = []
-    for spec in specs:
-        fallbacks: list[EngineFallback] = []
-        try:
-            result = run_spec(spec, audit=audit, fallbacks=fallbacks)
-        except Exception as exc:
-            records.append(
-                (
-                    spec.key,
-                    "err",
-                    classify_failure(exc),
-                    type(exc).__name__,
-                    str(exc),
-                    "".join(_traceback.format_exception(exc)),
-                )
-            )
-        else:
-            records.append((spec.key, "ok", result, tuple(fallbacks)))
-    return records
-
-
-def _auto_chunk_size(n_specs: int, jobs: int) -> int:
-    """Specs per dispatch when the policy doesn't pin one.
-
-    Targets ~4 dispatch waves per worker: enough batching to amortize
-    pickle/submit overhead on big plans, enough granularity that one
-    slow chunk can't serialize the tail.  Small plans (≤ one spec per
-    worker) stay unbatched.
-    """
-    if jobs <= 1 or n_specs <= jobs:
-        return 1
-    return max(1, min(8, n_specs // (jobs * 4)))
+    fallbacks: list[EngineFallback] = []
+    try:
+        result = run_spec(spec, audit=audit, fallbacks=fallbacks)
+    except Exception as exc:
+        return _err_record(exc)
+    return ("ok", result, tuple(fallbacks))
 
 
 # --------------------------------------------------------------- policy
@@ -560,10 +541,6 @@ class ExecutionPolicy:
     max_pool_rebuilds: int = 5
     #: invariant-audit every simulated result before it enters the cache
     audit: bool = False
-    #: specs batched per worker dispatch (``None`` = auto-size from plan
-    #: size and worker count; forced to 1 while ``spec_timeout_s`` is set,
-    #: so the deadline still attributes to exactly one spec)
-    chunk_size: int | None = None
 
     @classmethod
     def from_env(cls) -> "ExecutionPolicy":
@@ -652,10 +629,6 @@ def classify_failure(exc: BaseException) -> str:
     return "error"
 
 
-def _is_retryable(kind: str) -> bool:
-    return kind in ("transient", "worker-lost")
-
-
 # ----------------------------------------------------------------- stats
 
 
@@ -684,7 +657,6 @@ class RunnerStats:
     engine_fallbacks: int = 0  #: epoch-engine faults absorbed by a scalar re-run
     quarantined: int = 0  #: quarantine items written (fault bundles + corrupt entries)
     cache_evictions: int = 0  #: result/trace entries evicted by the end-of-plan quota GC
-    chunks: int = 0  #: worker dispatches (futures) the plan's specs were batched into
     cache_bytes_written: int = 0  #: bytes persisted to disk (results + trace plane)
     prewarm_s: float = 0.0  #: trace-plane prewarm before the plan's simulations
     pool_spinup_s: float = 0.0  #: ProcessPoolExecutor construction time
@@ -717,7 +689,6 @@ class RunnerStats:
         self.engine_fallbacks += other.engine_fallbacks
         self.quarantined += other.quarantined
         self.cache_evictions += other.cache_evictions
-        self.chunks += other.chunks
         self.cache_bytes_written += other.cache_bytes_written
         self.prewarm_s += other.prewarm_s
         self.pool_spinup_s += other.pool_spinup_s
@@ -858,6 +829,11 @@ def _worker_init() -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+#: one-spec futures in flight per worker: the second keeps the worker busy
+#: while the parent unpickles and stores the first one's result
+_FUTURES_PER_WORKER = 2
+
+
 class _PlanRunner:
     """Drives one plan's cache misses to completion, fault-tolerantly."""
 
@@ -887,31 +863,48 @@ class _PlanRunner:
         self.failures: dict[str, SpecFailure] = {}
         self.fallbacks: list[EngineFallback] = []
         self.pool: ProcessPoolExecutor | None = None
-        #: in-flight chunks: future → the spec keys it carries
-        self.pending: dict[Future, tuple[str, ...]] = {}
+        #: in-flight futures: future → the spec key it runs
+        self.pending: dict[Future, str] = {}
         self.deadlines: dict[Future, float] = {}
+        # a deadline must name a spec that is running, so only as many
+        # futures as workers are in flight while a timeout is armed
+        self.depth = jobs if policy.spec_timeout_s is not None else _FUTURES_PER_WORKER * jobs
         self.aborted = False  # fail-fast tripped
         self.interrupted: str | None = None  # signal name
-        # per-spec timeouts need the deadline to name exactly one spec,
-        # so batching is disabled while one is armed
-        if policy.spec_timeout_s is not None:
-            self.chunk = 1
-        elif policy.chunk_size is not None:
-            self.chunk = max(1, policy.chunk_size)
-        else:
-            self.chunk = _auto_chunk_size(len(todo), jobs)
 
-    # -- shared bookkeeping -------------------------------------------------
+    # -- outcomes -----------------------------------------------------------
 
     def _group(self, key: str) -> list[tuple[str, RunSpec]]:
         """The specs whose outcome is ``key``'s simulation, ``key`` first."""
         return [(key, self.specs[key]), *self.shared.get(key, ())]
 
+    def _settle(self, key: str, record: tuple) -> None:
+        """Turn one attempt's outcome record into a success, a retry or a
+        terminal failure, wherever the attempt ran.
+
+        A ``worker-lost`` retry goes to the suspects (run alone, to
+        isolate a culprit); any other retry goes to the front of the
+        queue, so ``jobs=1`` retries a spec before starting the next.
+        """
+        if record[0] == "ok":
+            self._record_success(key, record[1], record[2])
+            return
+        kind = record[1]
+        if kind in ("transient", "worker-lost") and self.attempts[key] < self.policy.max_attempts:
+            self.stats.retries += 1
+            self.needs_backoff.add(key)
+            if kind == "worker-lost":
+                self.suspects.append(key)
+            else:
+                self.queue.appendleft(key)
+        else:
+            self._record_failure(key, *record[1:])
+
     def _record_success(
         self,
         key: str,
         result: MulticoreResult,
-        fallbacks: tuple[EngineFallback, ...] = (),
+        fallbacks: tuple[EngineFallback, ...],
     ) -> None:
         for fb in fallbacks:
             if fb.kind == "fault":
@@ -927,20 +920,9 @@ class _PlanRunner:
             # flush immediately: a later crash or kill must not lose this
             self.cache.put(member, result)
 
-    def _record_failure(self, key: str, exc: BaseException, kind: str) -> None:
-        self._record_failure_info(
-            key,
-            kind,
-            type(exc).__name__,
-            str(exc),
-            "".join(_traceback.format_exception(exc)),
-        )
-
-    def _record_failure_info(
+    def _record_failure(
         self, key: str, kind: str, exc_type: str, message: str, tb: str
     ) -> None:
-        """Terminal-failure bookkeeping from already-stringified exception
-        info (worker-side chunk records arrive in this form)."""
         for member, spec in self._group(key):
             if kind == "timeout":
                 self.stats.timeouts += 1
@@ -957,53 +939,29 @@ class _PlanRunner:
         if not self.policy.keep_going:
             self.aborted = True
 
-    def _retry_or_fail_info(
-        self, key: str, kind: str, exc_type: str, message: str, tb: str
-    ) -> None:
-        """Requeue ``key`` if its failure kind has retry budget, else fail it."""
-        if self._should_retry(key, kind):
-            self.stats.retries += 1
-            self.needs_backoff.add(key)
-            self.queue.append(key)
-        else:
-            self._record_failure_info(key, kind, exc_type, message, tb)
+    def _next(self) -> str:
+        """Pop the next spec to attempt (suspects first) and count the
+        attempt, after its retry backoff if it owes one."""
+        key = (self.suspects or self.queue).popleft()
+        if key in self.needs_backoff:
+            self.needs_backoff.discard(key)
+            # exponential: attempt n+1 sleeps ~base·2ⁿ⁻¹
+            if self.policy.backoff_s > 0:
+                time.sleep(min(self.policy.backoff_s * 2 ** (self.attempts[key] - 1), 2.0))
+        self.attempts[key] += 1
+        return key
 
-    def _backoff(self, key: str) -> None:
-        """Exponential backoff before a retry (attempt n sleeps ~base·2ⁿ⁻¹)."""
-        if self.policy.backoff_s > 0:
-            time.sleep(min(self.policy.backoff_s * 2 ** (self.attempts[key] - 1), 2.0))
+    # -- in-process engine (jobs=1 and the degraded-pool fallback) ----------
 
-    def _should_retry(self, key: str, kind: str) -> bool:
-        return _is_retryable(kind) and self.attempts[key] < self.policy.max_attempts
-
-    # -- sequential engine (jobs=1 and the degraded-pool fallback) ----------
-
-    def run_sequential(self, keys: Iterable[str]) -> None:
-        for key in keys:
-            if self.aborted or self.interrupted:
-                break
-            spec = self.specs[key]
-            while True:
-                self.attempts[key] += 1
-                fallbacks: list[EngineFallback] = []
-                try:
-                    result = run_spec(
-                        spec, audit=self.policy.audit, fallbacks=fallbacks
-                    )
-                except KeyboardInterrupt:
-                    self.interrupted = "SIGINT"
-                    return
-                except Exception as exc:
-                    kind = classify_failure(exc)
-                    if self._should_retry(key, kind):
-                        self.stats.retries += 1
-                        self._backoff(key)
-                        continue
-                    self._record_failure(key, exc, kind)
-                    break
-                else:
-                    self._record_success(key, result, tuple(fallbacks))
-                    break
+    def run_sequential(self) -> None:
+        while (self.suspects or self.queue) and not (self.aborted or self.interrupted):
+            key = self._next()
+            try:
+                record = _run_one(self.specs[key], self.policy.audit)
+            except KeyboardInterrupt:
+                self.interrupted = "SIGINT"
+                return
+            self._settle(key, record)
 
     # -- parallel engine ----------------------------------------------------
 
@@ -1016,10 +974,7 @@ class _PlanRunner:
                         raise _Interrupted
                     if self.pool is None:
                         # the pool broke too many times: finish in-process
-                        remaining = list(self.suspects) + list(self.queue)
-                        self.suspects.clear()
-                        self.queue.clear()
-                        self.run_sequential(remaining)
+                        self.run_sequential()
                         break
                     self._dispatch()
                     if not self.pending:
@@ -1040,15 +995,10 @@ class _PlanRunner:
                 self.deadlines.clear()
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        remaining = (
-            len(self.queue)
-            + len(self.suspects)
-            + sum(len(keys) for keys in self.pending.values())
-        )
-        workers = -(-remaining // self.chunk)  # ceil: chunks, not specs, fill slots
+        remaining = len(self.queue) + len(self.suspects) + len(self.pending)
         t0 = time.perf_counter()
         pool = ProcessPoolExecutor(
-            max_workers=max(1, min(self.jobs, workers)), initializer=_worker_init
+            max_workers=max(1, min(self.jobs, remaining)), initializer=_worker_init
         )
         self.stats.pool_spinup_s += time.perf_counter() - t0
         return pool
@@ -1078,40 +1028,25 @@ class _PlanRunner:
             pass
 
     def _dispatch(self) -> None:
-        """Fill worker slots with chunks; suspects run strictly one at a time."""
+        """Fill the in-flight window; suspects run strictly one at a time."""
         while True:
             if self.suspects:
                 if self.pending:
                     return  # serial isolation: wait for the lone flight
-                keys: tuple[str, ...] = (self.suspects.popleft(),)
-            elif self.queue and len(self.pending) < self.jobs:
-                count = min(self.chunk, len(self.queue))
-                keys = tuple(self.queue.popleft() for _ in range(count))
-            else:
+            elif not self.queue or len(self.pending) >= self.depth:
                 return
-            for key in keys:
-                if key in self.needs_backoff:
-                    self.needs_backoff.discard(key)
-                    self._backoff(key)
-                self.attempts[key] += 1
+            key = self._next()
             try:
-                fut = self.pool.submit(
-                    _run_chunk, [self.specs[k] for k in keys], self.policy.audit
-                )
+                fut = self.pool.submit(_run_one, self.specs[key], self.policy.audit)
             except (BrokenExecutor, RuntimeError) as exc:
                 # the pool died between harvest and submit
-                for key in reversed(keys):
-                    self.attempts[key] -= 1
-                    self._requeue_front(key)
+                self.attempts[key] -= 1
+                (self.suspects if self.suspects else self.queue).appendleft(key)
                 self._handle_pool_break(exc)
                 return
-            self.pending[fut] = keys
-            self.stats.chunks += 1
+            self.pending[fut] = key
             if self.policy.spec_timeout_s is not None:
                 self.deadlines[fut] = time.monotonic() + self.policy.spec_timeout_s
-
-    def _requeue_front(self, key: str) -> None:
-        (self.suspects if self.suspects else self.queue).appendleft(key)
 
     def _wait_timeout(self) -> float:
         """Poll interval: next deadline if timeouts are armed, else 0.5 s
@@ -1122,65 +1057,31 @@ class _PlanRunner:
         return 0.5
 
     def _harvest(self, fut: Future) -> None:
-        keys = self.pending.pop(fut)
+        key = self.pending.pop(fut)
         self.deadlines.pop(fut, None)
         try:
-            records = fut.result()
+            record = fut.result()
         except BrokenExecutor as exc:
-            # a dead worker breaks the whole executor: its chunk and every
-            # other in-flight spec fail collaterally; handle them at once
-            self._handle_pool_break(exc, casualties=keys)
+            # a dead worker breaks the whole executor: this spec and every
+            # other in-flight one fail collaterally; handle them at once
+            self._handle_pool_break(exc, casualties=(key,))
             return
         except Exception as exc:
-            # chunk-level transport failure (e.g. a torn result pipe):
-            # the worker-side records are gone, so every spec shares it
-            kind = classify_failure(exc)
-            tb = "".join(_traceback.format_exception(exc))
-            for key in keys:
-                self._retry_or_fail_info(key, kind, type(exc).__name__, str(exc), tb)
-            return
-        seen: set[str] = set()
-        for rec in records:
-            key = rec[0]
-            seen.add(key)
-            if rec[1] == "ok":
-                self._record_success(key, rec[2], rec[3] if len(rec) > 3 else ())
-            else:
-                _, _, kind, exc_type, message, tb = rec
-                self._retry_or_fail_info(key, kind, exc_type, message, tb)
-        for key in keys:
-            # defensive: a worker that returned without covering a spec
-            if key not in seen:
-                self._retry_or_fail_info(
-                    key, "worker-lost", "RuntimeError",
-                    "spec missing from its chunk's result records", "",
-                )
+            # transport failure (e.g. a torn result pipe): the worker's
+            # record is gone
+            record = _err_record(exc)
+        self._settle(key, record)
 
     def _handle_pool_break(
         self, exc: BaseException, casualties: tuple[str, ...] = ()
     ) -> None:
         """Replace a broken pool; casualties retry serially (culprit isolation)."""
-        self.stats.pool_rebuilds += 1
-        casualties = list(casualties)
-        for keys in self.pending.values():
-            casualties.extend(keys)
-        self.pending.clear()
-        self.deadlines.clear()
-        self._shutdown_pool(kill=True)
-        for key in casualties:
-            # every casualty keeps its attempt: the culprit is unknown, and
-            # serial re-execution lets innocents succeed on the next try
-            if self._should_retry(key, "worker-lost"):
-                self.stats.retries += 1
-                self.needs_backoff.add(key)
-                self.suspects.append(key)
-            else:
-                self._record_failure(key, exc, "worker-lost")
-        if self.aborted:
-            return
-        if self.stats.pool_rebuilds <= self.policy.max_pool_rebuilds:
-            self.pool = self._new_pool()
-        # else: pool stays None and run_parallel degrades to in-process
+        # every casualty keeps its attempt: the culprit is unknown, and
+        # serial re-execution lets innocents succeed on the next try
+        record = _err_record(exc, "worker-lost")
+        for key in (*casualties, *self.pending.values()):
+            self._settle(key, record)
+        self._replace_pool()
 
     def _check_deadlines(self) -> None:
         if not self.deadlines:
@@ -1197,24 +1098,26 @@ class _PlanRunner:
             return
         timeout_s = self.policy.spec_timeout_s
         for fut in expired:
-            # chunks are single-spec whenever a timeout is armed, so the
-            # deadline attributes to exactly one spec
-            for key in self.pending.pop(fut):
-                exc = TimeoutError(f"spec exceeded --spec-timeout of {timeout_s:g}s")
-                self._record_failure(key, exc, "timeout")
-            self.deadlines.pop(fut, None)
+            # only running specs are in flight while a timeout is armed,
+            # so the deadline names the spec that overran it
+            exc = TimeoutError(f"spec exceeded --spec-timeout of {timeout_s:g}s")
+            self._settle(self.pending.pop(fut), _err_record(exc, "timeout"))
         # innocents that shared the killed pool go back unpenalized
-        for fut, keys in list(self.pending.items()):
-            for key in reversed(keys):
-                self.attempts[key] -= 1
-                self.queue.appendleft(key)
+        for key in reversed(list(self.pending.values())):
+            self.attempts[key] -= 1
+            self.queue.appendleft(key)
+        self._replace_pool()
+
+    def _replace_pool(self) -> None:
+        """Kill the pool and whatever is in flight, then start a fresh one
+        unless the plan aborted or the rebuild budget is spent (then
+        ``run_parallel`` finishes in-process)."""
+        self.stats.pool_rebuilds += 1
         self.pending.clear()
         self.deadlines.clear()
-        self.stats.pool_rebuilds += 1
         self._shutdown_pool(kill=True)
-        if not self.aborted:
-            if self.stats.pool_rebuilds <= self.policy.max_pool_rebuilds:
-                self.pool = self._new_pool()
+        if not self.aborted and self.stats.pool_rebuilds <= self.policy.max_pool_rebuilds:
+            self.pool = self._new_pool()
 
     # -- signals ------------------------------------------------------------
 
@@ -1446,7 +1349,7 @@ def execute_plan(
         if jobs > 1 and len(todo) > 1:
             runner.run_parallel()
         else:
-            runner.run_sequential([k for k, _ in todo])
+            runner.run_sequential()
         results.update(runner.results)
         failures = tuple(runner.failures.values())
         engine_fallbacks = tuple(runner.fallbacks)

@@ -89,9 +89,9 @@ def run_epoch_kernel(memory, cores, max_cycles=None, audited=False) -> str | Non
     Returns ``None`` when the kernel ran (the caller must skip the scalar
     ``core.start()`` / ``memory.run()`` path entirely), or the decline
     reason as a string when the configuration needs the scalar engine.
-    The reason is *returned*, never stashed in module state: one chunk's
-    specs decline independently, and each spec's reason must attribute to
-    that spec alone.
+    The reason is *returned*, never stashed in module state: the specs one
+    worker runs decline independently, and each spec's reason must
+    attribute to that spec alone.
     """
     org = memory.config.organization
     if audited:

@@ -58,8 +58,8 @@ def run_plan(monkeypatch, cache_dir, chaos=None):
     specs = build_specs()
     # max_attempts=8: a pool break charges an attempt to every in-flight
     # casualty, so under a crash storm an *innocent* spec can lose several
-    # attempts to chunk-mates; the default budget of 3 is sized for real
-    # faults, not a storm of injected ones
+    # attempts to other specs' crashes; the default budget of 3 is sized
+    # for real faults, not a storm of injected ones
     results = execute_plan(
         specs,
         jobs=2,
@@ -89,7 +89,7 @@ def test_mini_soak_is_bit_identical_under_chaos(tmp_path, monkeypatch):
     # fired markers are claimed *before* the destructive act, so they
     # upper-bound every downstream witness: a worker SIGTERMed by a pool
     # break can die between claiming an epoch fault and landing its
-    # quarantine bundle, and a crash that loses a finished chunk's records
+    # quarantine bundle, and a crash that loses a finished spec's record
     # drops its fallback entries from the ledger (the retry does not
     # refire a once-only fault).  Exact counting is covered by the
     # deterministic single-site tests in test_resilience.py.

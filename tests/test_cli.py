@@ -187,3 +187,27 @@ def test_fingerprint_rejects_unknown_names(argv, needle, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("repro fingerprint: ") and needle in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fingerprint", "lbm", "--system", "rop", "--no-cache"],
+        ["characterize", "lbm", "--jobs", "2"],
+    ],
+)
+def test_scale_only_commands_reject_runner_flags(argv, capsys):
+    """fingerprint and characterize run no plan: a runner flag they would
+    ignore is an argparse error, not a silent no-op."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_fingerprint_scale_flags_change_the_key(capsys):
+    keys = []
+    for flags in ([], ["--instructions", "100000"], ["--seed", "7"], ["--scale", "smoke"]):
+        assert main(["fingerprint", "lbm", "--system", "rop", *flags]) == 0
+        keys.append(capsys.readouterr().out.split()[0])
+    assert len(set(keys)) == len(keys)

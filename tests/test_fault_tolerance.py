@@ -225,37 +225,36 @@ class TestInterrupt:
         assert last_stats().executed == 2
         assert resumed.ok(*specs)
 
-    def test_sigint_drains_under_chunked_dispatch(
+    def test_sigint_drains_with_queued_futures(
         self, tmp_path, faults, capfd, monkeypatch
     ):
-        """With chunk_size=2 the fast pair shares one chunk: its harvested
-        results must be persisted before the interrupt unwinds."""
+        """With two futures per worker in flight, the fast pair is
+        harvested and persisted while two hangers run and two more specs
+        wait in the executor; the interrupt kills both kinds, and the
+        resume runs exactly the four that never finished."""
         cache = ArtifactCache(tmp_path / "cache")
-        specs = tiny_specs(("gobmk", "lbm", "bzip2", "astar"))
+        specs = tiny_specs(("gobmk", "lbm", "bzip2", "astar", "gcc", "omnetpp"))
         faults({"bzip2": {"mode": "hang", "seconds": 600},
                 "astar": {"mode": "hang", "seconds": 600}})
         timer = threading.Timer(4.0, os.kill, (os.getpid(), signal.SIGINT))
         timer.start()
         try:
             with pytest.raises(KeyboardInterrupt):
-                execute_plan(
-                    specs, jobs=2, cache=cache,
-                    policy=policy(keep_going=True, chunk_size=2),
-                )
+                execute_plan(specs, jobs=2, cache=cache, policy=policy(keep_going=True))
         finally:
             timer.cancel()
-        # the fast chunk's two specs were flushed before the interrupt
+        # the fast pair was flushed before the interrupt; the queued pair
+        # never started
         assert cache.path(specs[0].key).exists()
         assert cache.path(specs[1].key).exists()
+        assert not any(cache.path(s.key).exists() for s in specs[2:])
         assert "re-run the same command to resume" in capfd.readouterr().err
 
         monkeypatch.delenv("REPRO_FAULTS")
         clear_result_memo()
-        resumed = execute_plan(
-            specs, jobs=2, cache=cache, policy=policy(chunk_size=2)
-        )
+        resumed = execute_plan(specs, jobs=2, cache=cache, policy=policy())
         assert last_stats().cache_hits == 2
-        assert last_stats().executed == 2
+        assert last_stats().executed == 4
         assert resumed.ok(*specs)
 
 

@@ -9,7 +9,7 @@ Three families:
   keeps every frequency below ``FREQ_CAP`` while preserving relative
   order;
 * ``MetricsRegistry.merge`` — associative and commutative over snapshot
-  dicts (the parallel runner merges per-chunk metrics in arbitrary
+  dicts (the parallel runner merges per-spec metrics in arbitrary
   completion order, so this is load-bearing, not aesthetic).
 """
 
