@@ -29,6 +29,7 @@ from .harness import (
     ConfigError,
     ExecutionPolicy,
     PlanExecutionError,
+    RunPlan,
     RunScale,
     render_zoo,
     zoo_sweep,
@@ -44,7 +45,7 @@ from .harness import (
     set_cache_enabled,
     set_execution_policy,
 )
-from .validation import known_systems, system_config
+from .validation import GoldenMismatchError, known_systems, system_config
 from .workloads import SPEC_PROFILES, WORKLOAD_MIXES, profile
 
 __all__ = ["main"]
@@ -80,10 +81,29 @@ def _runner_opts(args) -> int | None:
         overrides["keep_going"] = True
     if getattr(args, "fail_fast", False):
         overrides["keep_going"] = False
-    if getattr(args, "audit", False):
-        overrides["audit"] = True
     set_execution_policy(dataclasses.replace(policy, **overrides) if overrides else policy)
     return getattr(args, "jobs", None)
+
+
+#: figures whose positional names are workload mixes, not benchmarks
+_MIX_FIGURES = ("10", "11", "12", "13", "14")
+
+
+def _check_names(args) -> None:
+    """Reject an unknown benchmark or mix name before anything runs."""
+    benchmarks = list(getattr(args, "benchmarks", None) or ())
+    if getattr(args, "benchmark", None):
+        benchmarks.append(args.benchmark)
+    mixes = [args.mix] if getattr(args, "mix", None) else []
+    if getattr(args, "figure", None) in _MIX_FIGURES:
+        benchmarks, mixes = [], benchmarks
+    for names, known, what in (
+        (benchmarks, SPEC_PROFILES, "benchmark"),
+        (mixes, WORKLOAD_MIXES, "mix"),
+    ):
+        unknown = [n for n in names if n not in known]
+        if unknown:
+            raise ConfigError(f"unknown {what} {unknown[0]!r}; known: {', '.join(known)}")
 
 
 def _print_runner_stats(args=None) -> None:
@@ -128,20 +148,28 @@ def _cmd_info(args) -> int:
 
 def _cmd_compare(args) -> int:
     scale = _scale(args)
-    _runner_opts(args)
+    jobs = _runner_opts(args)
     cfg = SystemConfig.single_core()
-    for name in args.benchmarks:
-        mt = profile(name).memory_trace(scale.instructions, cfg.llc, seed=scale.seed)
-        base = run_cores([mt], cfg)
-        ideal = run_cores([mt], cfg.with_refresh_mode(RefreshMode.NONE))
-        rop = run_cores(
-            [mt], cfg.with_rop(training_refreshes=scale.training_refreshes)
-        )
+    configs = (
+        cfg,
+        cfg.with_refresh_mode(RefreshMode.NONE),
+        cfg.with_rop(training_refreshes=scale.training_refreshes),
+    )
+    plan = RunPlan()
+    grid = {
+        name: [plan.benchmark(name, c, scale) for c in configs]
+        for name in args.benchmarks
+    }
+    results = plan.execute(jobs=jobs)
+    for name, specs in grid.items():
+        if not results.ok(*specs):
+            continue  # keep-going: a run failed; the failure report names it
+        base, ideal, rop = (results[s] for s in specs)
         e_base = system_energy(base.stats, cfg)
-        e_rop = system_energy(rop.stats, cfg.with_rop())
+        e_rop = system_energy(rop.stats, configs[2])
         gap = ideal.ipc - base.ipc
         rec = (rop.ipc - base.ipc) / gap * 100 if gap > 1e-9 else float("nan")
-        print(f"\n{name} ({len(mt)} requests)")
+        print(f"\n{name} ({base.stats.demand_accesses} requests)")
         print(f"  IPC    baseline {base.ipc:.4f}  no-refresh {ideal.ipc:.4f}  "
               f"ROP {rop.ipc:.4f} ({rec:.0f}% of gap recovered)")
         print(f"  energy baseline {e_base.total_mj:.3f} mJ  "
@@ -149,6 +177,7 @@ def _cmd_compare(args) -> int:
               f"({(e_rop.total / e_base.total - 1) * 100:+.1f}%)")
         print(f"  SRAM   hit rate {rop.stats.lock_hit_rate:.2f} (Fig. 9 metric), "
               f"armed {rop.rop_summary['armed_hit_rate']:.2f}")
+    _print_runner_stats(args)
     return 0
 
 
@@ -200,32 +229,37 @@ def _cmd_fig(args) -> int:
         metric = {"12": "norm_ws", "13": "norm_energy", "14": "rop_armed_hit_rate"}[fig]
         print(reporting.render_llc_sensitivity(rows, metric))
     else:
-        print(f"unknown figure {fig!r}; known: 1 2 3 4 t1 7 8 9 10 11 12 13 14",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown figure {fig!r}; known: 1 2 3 4 t1 7 8 9 10 11 12 13 14")
     _print_runner_stats(args)
     return 0
 
 
 def _cmd_schemes(args) -> int:
     scale = _scale(args)
-    _runner_opts(args)
+    jobs = _runner_opts(args)
     cfg = SystemConfig.single_core()
-    modes = [m for m in RefreshMode]
-    headers = ["benchmark"] + [m.value for m in modes] + ["rop"]
+    # the zoo's per-mode refresh options (RAIDR's short bin window)
+    opts = {mode: o for mode, rop, o in ZOO_POLICIES.values() if not rop}
+    configs = {
+        m.value: cfg.with_refresh_mode(m).with_refresh_opts(**opts.get(m, {}))
+        for m in RefreshMode
+    }
+    configs["rop"] = cfg.with_rop(training_refreshes=scale.training_refreshes)
+    plan = RunPlan()
+    grid = {
+        name: {h: plan.benchmark(name, c, scale) for h, c in configs.items()}
+        for name in args.benchmarks
+    }
+    results = plan.execute(jobs=jobs)
     body = []
-    for name in args.benchmarks:
-        mt = profile(name).memory_trace(scale.instructions, cfg.llc, seed=scale.seed)
-        ipcs = {
-            m.value: run_cores([mt], cfg.with_refresh_mode(m)).ipc for m in modes
-        }
-        ipcs["rop"] = run_cores(
-            [mt], cfg.with_rop(training_refreshes=scale.training_refreshes)
-        ).ipc
-        base = ipcs[RefreshMode.AUTO_1X.value]
-        body.append([name] + [f"{ipcs[h] / base:.4f}" for h in headers[1:]])
+    for name, specs in grid.items():
+        if not results.ok(*specs.values()):
+            continue  # keep-going: a run failed; the failure report names it
+        base = results[specs[RefreshMode.AUTO_1X.value]].ipc
+        body.append([name] + [f"{results[s].ipc / base:.4f}" for s in specs.values()])
     print("IPC normalized to auto-refresh:")
-    print(reporting.format_table(headers, body))
+    print(reporting.format_table(["benchmark", *configs], body))
+    _print_runner_stats(args)
     return 0
 
 
@@ -249,13 +283,12 @@ def _cmd_trace(args) -> int:
     from .telemetry import MetricsRegistry, TraceSink, write_chrome_trace, write_csv, write_jsonl
 
     scale = _scale(args)
-    _runner_opts(args)
     cfg = SystemConfig.single_core()
     if not args.baseline:
         cfg = cfg.with_rop(training_refreshes=scale.training_refreshes)
     mt = profile(args.benchmark).memory_trace(scale.instructions, cfg.llc, seed=scale.seed)
     sink = TraceSink(capacity=args.capacity)
-    result = run_cores([mt], cfg, sink=sink)
+    result = run_cores([mt], cfg, sink=sink, engine=args.engine)
 
     suffix = {"chrome": ".trace.json", "jsonl": ".jsonl", "csv": ".csv"}[args.format]
     out = Path(args.out) if args.out else Path(f"{args.benchmark}{suffix}")
@@ -299,10 +332,6 @@ def _cmd_profile(args) -> int:
               file=sys.stderr)
         return 2
     if args.mix:
-        if args.mix not in WORKLOAD_MIXES:
-            print(f"repro profile: unknown mix {args.mix!r}; known: "
-                  + " ".join(WORKLOAD_MIXES), file=sys.stderr)
-            return 2
         cfg = SystemConfig.quad_core()
         if not args.baseline:
             cfg = cfg.with_rop(training_refreshes=scale.training_refreshes)
@@ -431,11 +460,6 @@ def _cmd_fingerprint(args) -> int:
     """Print the cache address of each benchmark's spec without running it."""
     from .harness import RunSpec, cached_result, spec_fingerprint
 
-    unknown = [name for name in args.benchmarks if name not in SPEC_PROFILES]
-    if unknown:
-        print(f"repro fingerprint: unknown benchmark {unknown[0]!r}; "
-              f"known: {', '.join(SPEC_PROFILES)}", file=sys.stderr)
-        return 2
     try:
         cfg = system_config(args.system)
     except ValueError as exc:
@@ -518,9 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
         fail.add_argument("--fail-fast", action="store_true",
                           help="abort the plan on the first terminal failure "
                                "(the default; overrides REPRO_KEEP_GOING=1)")
-        sp.add_argument("--audit", action="store_true",
-                        help="run the physical-invariant checker on every "
-                             "simulated result before it enters the cache")
+        observe_flags(sp)
+        engine_flag(sp)
+
+    def observe_flags(sp):
+        """Flags that attach observers to every simulated spec."""
         sp.add_argument("--telemetry", action="store_true",
                         help="attach a cycle-level trace sink to every "
                              "simulated spec and export per-run Perfetto "
@@ -530,17 +556,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for --telemetry trace files "
                              "(default: REPRO_TRACE_DIR or "
                              "<artifact-cache>/traces)")
+        sp.add_argument("--validate", action="store_true",
+                        help="check every simulated spec against the "
+                             "differential golden models (causality, λ/β, "
+                             "Eq. 3, refresh schedule, DDR timing, SRAM "
+                             "model); a disagreement fails the run")
+
+    def engine_flag(sp):
         sp.add_argument("--engine", default=None,
                         choices=("scalar", "epoch"),
                         help="simulation engine: scalar = reference "
                              "event-queue interpreter, epoch = array-native "
                              "epoch-stepped kernel (default: REPRO_ENGINE "
                              "or scalar; results are bit-identical)")
-        sp.add_argument("--validate", action="store_true",
-                        help="check every simulated spec against the "
-                             "differential golden models (λ/β, Eq. 3, "
-                             "refresh schedule, DDR timing, SRAM model); "
-                             "a disagreement fails the run")
 
     sp = sub.add_parser("info", help="print configuration summary")
     sp.set_defaults(func=_cmd_info)
@@ -606,7 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--metrics-prefix", default=None, metavar="PREFIX",
                     help="only print metrics whose name starts with PREFIX "
                          "(e.g. rop. or trace.)")
-    common(sp)
+    scale_flags(sp)
+    engine_flag(sp)
     sp.set_defaults(func=_cmd_trace)
 
     sp = sub.add_parser(
@@ -631,7 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "simulation is profiled)")
     sp.add_argument("--out", default=None, metavar="FILE",
                     help="also dump raw cProfile stats to FILE")
-    common(sp)
+    scale_flags(sp)
+    observe_flags(sp)
+    engine_flag(sp)
     sp.set_defaults(func=_cmd_profile)
 
     sp = sub.add_parser(
@@ -702,19 +733,25 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point.
 
     Translates library errors into exit codes here, at the boundary:
-    malformed configuration (``ConfigError``) exits 2, a fail-fast plan
-    failure prints the failure report and exits 1, and an interrupt
-    (after the runner has persisted completed results and printed its
-    resume hint) exits 130.
+    malformed configuration (``ConfigError``, including an unknown
+    benchmark or mix name) exits 2 with one stderr line; a fail-fast plan
+    failure prints the failure report and exits 1, as does a golden-model
+    mismatch of a single validated run (``profile --validate``); and an
+    interrupt (after the runner has persisted completed results and
+    printed its resume hint) exits 130.
     """
     args = build_parser().parse_args(argv)
     try:
+        _check_names(args)
         return args.func(args)
     except ConfigError as exc:
-        print(f"repro: {exc}", file=sys.stderr)
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 2
     except PlanExecutionError as exc:
         print(reporting.render_failures(exc.failures), file=sys.stderr)
+        return 1
+    except GoldenMismatchError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         return 130

@@ -90,7 +90,6 @@ def run_cores(
     record_events: bool = False,
     place: bool = True,
     max_cycles: int | None = None,
-    audit: bool = False,
     sink: TraceSink | None = None,
     instrument: Callable[[MemorySystem], None] | None = None,
     engine: str | None = None,
@@ -101,18 +100,14 @@ def run_cores(
     ``place=False`` replays traces at their given addresses (callers that
     pre-placed them); ``max_cycles`` bounds runaway simulations.
 
-    ``audit=True`` captures every memory request and runs the invariant
-    checker (:func:`repro.stats.invariants.check_run`) on the finished
-    simulation, raising ``InvariantViolation`` instead of returning a
-    physically impossible result.  The audit never changes the result:
-    lock/refresh checks additionally need ``record_events=True``.
-
     ``sink`` wires a telemetry :class:`~repro.telemetry.TraceSink` through
     the memory system; it never changes the simulation outcome.
 
     ``instrument`` is called with the freshly built :class:`MemorySystem`
     before any traffic flows — the validation subsystem uses it to attach
-    its check taps (observers only; they must not alter behaviour).
+    its check taps (observers only; they must not alter behaviour).  The
+    taps are ones both engines drive, so a validated run stays on the
+    epoch kernel.
 
     ``engine`` selects the simulation engine: ``"scalar"`` (the reference
     object-dispatch loop) or ``"epoch"`` (the flat array-native kernel,
@@ -129,16 +124,11 @@ def run_cores(
     memory = MemorySystem(config, record_events=record_events, sink=sink)
     if instrument is not None:
         instrument(memory)
-    log = None
-    if audit:
-        from ..stats.invariants import RequestLog
-
-        log = RequestLog().attach(memory)
     placed = place_traces(traces, config) if place else traces
     cores = [Core(i, tr, memory, config.core) for i, tr in enumerate(placed)]
     kernel_ran = False
     if engine == "epoch":
-        declined = run_epoch_kernel(memory, cores, max_cycles, audited=audit)
+        declined = run_epoch_kernel(memory, cores, max_cycles)
         kernel_ran = declined is None
         if declined is not None and fallback_reasons is not None:
             fallback_reasons.append(declined)
@@ -161,11 +151,6 @@ def run_cores(
         memory.run(until=last_retire)
     stats = memory.finish()
     stats.end_cycle = max(stats.end_cycle, last_retire)
-    if log is not None:
-        from ..stats.invariants import check_run
-
-        log.detach()
-        check_run(log, memory)
     results = tuple(
         CoreResult(
             core_id=c.core_id,

@@ -54,7 +54,7 @@ class Bank:
         "pre_ok_at",
         "act_cycle",
         "busy_until",
-        "sub_ref",
+        "sub_locks",
         "sub_lock_end",
     )
 
@@ -65,9 +65,11 @@ class Bank:
         self.act_cycle: int = -(10**9)
         #: end of the latest committed data burst (read or write)
         self.busy_until: int = 0
-        #: subarray held by an in-flight SARP refresh (−1 = none ever)
-        self.sub_ref: int = -1
-        #: end of the latest subarray refresh lock (SARP only)
+        #: subarray → end of its latest SARP refresh lock; every subarray
+        #: keeps its own, since locks are committed ahead of time and
+        #: several of one bank's may still lie in the future
+        self.sub_locks: dict[int, int] = {}
+        #: end of the latest subarray refresh lock, any subarray (SARP only)
         self.sub_lock_end: int = 0
 
     def plan(
@@ -128,7 +130,7 @@ class Bank:
 
         Only a row open inside the refreshing subarray is precharged; the
         subarray exclusion itself is enforced by :meth:`Rank.plan` folding
-        ``sub_lock_end`` into ``not_before`` for same-subarray accesses.
+        the subarray's ``sub_locks`` entry into ``not_before``.
         Closing the row carries an implicit precharge, which cannot beat
         ``pre_ok_at`` — flooring ``ready_at`` at ``pre_ok_at + tRP`` keeps
         the next ACT (to *any* subarray) tRC-legal against the last one,
@@ -137,7 +139,7 @@ class Bank:
         if self.open_row is not None and self.open_row // sub_rows == sub:
             self.open_row = None
             self.ready_at = max(self.ready_at, self.pre_ok_at + rp)
-        self.sub_ref = sub
+        self.sub_locks[sub] = locked_until
         self.sub_lock_end = locked_until
 
     def quiesce_at(self) -> int:

@@ -255,9 +255,9 @@ class MemoryController:
             else:
                 bank = rank.banks[c.bank]
                 gate = bank.ready_at
-                if sub_rows and c.row // sub_rows == bank.sub_ref and bank.sub_lock_end > gate:
-                    # SARP: the request's subarray is mid-refresh
-                    gate = bank.sub_lock_end
+                if sub_rows:
+                    # SARP: the request's subarray may be mid-refresh
+                    gate = max(gate, bank.sub_locks.get(c.row // sub_rows, 0))
                 if gate <= cycle:
                     if bank.open_row == c.row:
                         return i, None  # oldest ready row hit wins outright

@@ -75,9 +75,9 @@ class Rank:
         start = max(now, self.locked_until)
         not_before = start if is_write else max(start, self.wtr_until)
         bank = self.banks[bank_idx]
-        if self.sub_rows and row // self.sub_rows == bank.sub_ref:
-            # SARP: the target subarray is being refreshed — wait it out
-            not_before = max(not_before, bank.sub_lock_end)
+        if self.sub_rows:
+            # SARP: wait out the target subarray's latest refresh lock
+            not_before = max(not_before, bank.sub_locks.get(row // self.sub_rows, 0))
         return bank.plan(
             now, row, is_write, t, not_before=not_before, act_gate=self.act_gate(t)
         )

@@ -24,8 +24,8 @@ of looping, a driver *declares* its grid as :class:`RunSpec` points on a
   ``SystemConfig`` without the fields the simulator ignores, such as
   ``llc``, which only shapes the traces) and ``record_events`` coincide
   **share one simulation**: the first one declared runs, and its result
-  is published under every member's own key (telemetry, validate and
-  audit specs always run on their own);
+  is published under every member's own key (telemetry and validate
+  specs always run on their own);
 * every pool future carries **one spec**, with up to two per worker in
   flight so a worker never idles while the parent stores the last
   result.
@@ -75,7 +75,6 @@ from typing import TYPE_CHECKING, Iterable
 
 from ..config import LlcConfig, RefreshConfig, RefreshMode, RopConfig, SystemConfig
 from ..cpu import MulticoreResult, run_cores
-from ..stats.invariants import InvariantViolation
 from ..workloads import mix_profiles, profile
 from .cache import MISS, fingerprint, get_cache
 from .faults import maybe_inject
@@ -134,10 +133,9 @@ class RunSpec:
     the LLC geometry the traces are filtered through, and the run
     length/seed.  Presentation details (system labels, normalization)
     live in the drivers, so the same spec declared by two figures is one
-    simulation.  ``audit``, ``telemetry`` and ``validate`` are *excluded*
-    from the key: invariant checks and golden models validate a result
-    without changing it, and the trace sink observes a run without
-    changing it.
+    simulation.  ``telemetry`` and ``validate`` are *excluded* from the
+    key: the golden models check a result without changing it, and the
+    trace sink observes a run without changing it.
     """
 
     workloads: tuple[str, ...]
@@ -148,9 +146,6 @@ class RunSpec:
     instructions: int
     seed: int
     record_events: bool = False
-    #: run the invariant audit (:func:`repro.stats.invariants.check_run`)
-    #: on the finished simulation before the result enters the cache
-    audit: bool = False
     #: attach a cycle-level trace sink and export a Perfetto trace file
     #: (also forced by ``REPRO_TELEMETRY=1``); never changes the result
     telemetry: bool = False
@@ -249,9 +244,8 @@ def spec_fingerprint(spec: RunSpec) -> str:
     trace-LLC geometry, run length, seed and ``record_events`` flag, all
     under the current ``CACHE_SCHEMA``.  Two processes (or two hosts)
     always agree on it, so ``repro fingerprint`` can print a result's
-    address without running it.  Observation-only fields (``audit``,
-    ``telemetry``, ``validate``) are excluded — they never change the
-    result.
+    address without running it.  Observation-only fields (``telemetry``,
+    ``validate``) are excluded — they never change the result.
     """
     return spec.key
 
@@ -337,15 +331,9 @@ class EngineFallback:
 
 def run_spec(
     spec: RunSpec,
-    audit: bool = False,
     fallbacks: "list[EngineFallback] | None" = None,
 ) -> MulticoreResult:
     """Execute one spec (pure function; also the worker-process entry).
-
-    ``audit`` (or ``spec.audit``, or ``REPRO_AUDIT=1``) runs the
-    invariant checker on the finished simulation so a violated physical
-    constraint surfaces as an ``invariant`` failure instead of a silently
-    wrong artifact in the cache.
 
     With telemetry enabled (``spec.telemetry`` or ``REPRO_TELEMETRY=1``)
     a :class:`~repro.telemetry.TraceSink` rides along and the worker
@@ -354,19 +342,21 @@ def run_spec(
 
     With validation enabled (``spec.validate`` or ``REPRO_VALIDATE=1``)
     the differential golden models of :mod:`repro.validation` observe
-    the run and any disagreement raises
+    the run — causality, DDR timing, the refresh schedule and lock
+    exclusion, counter recounts, and for ROP λ/β, Eq. 3 and the SRAM —
+    and any disagreement raises
     :class:`~repro.validation.GoldenMismatchError` (classified
     ``invariant``) instead of returning — and caching — a result the
-    analytical models contradict.
+    analytical models contradict.  The checks observe through taps both
+    engines drive, so a validated spec stays on the epoch kernel.
 
     Under the epoch engine this function is the **degradation ladder**
     (DESIGN.md §10): a topology the kernel declines runs scalar inside
     ``run_cores`` and is recorded as a ``declined`` fallback; an
-    exception on the epoch path (engine fault, invariant violation,
-    golden mismatch) writes a quarantine bundle and transparently
-    re-runs the spec on the scalar engine, recorded as a ``fault``
-    fallback.  ``fallbacks``, when a list is passed, collects those
-    :class:`EngineFallback` records.
+    exception on the epoch path (engine fault, golden mismatch) writes a
+    quarantine bundle and transparently re-runs the spec on the scalar
+    engine, recorded as a ``fault`` fallback.  ``fallbacks``, when a
+    list is passed, collects those :class:`EngineFallback` records.
     """
     maybe_inject(spec)
     chaos = "REPRO_CHAOS" in os.environ
@@ -382,14 +372,14 @@ def run_spec(
         profile(name).memory_trace(spec.instructions, spec.trace_llc, seed=spec.seed)
         for name in spec.workloads
     ]
-    do_audit = audit or spec.audit or _env_flag("REPRO_AUDIT")
 
     def _simulate(eng: str) -> tuple[MulticoreResult, list[str]]:
         sink = None
         session = None
         if validation_enabled(spec):
-            # imported lazily: validation pulls in harness.faults, and the
-            # harness package imports this module at load time
+            # imported lazily, like in classify_failure: most runs never
+            # validate, and the golden models add to every process's
+            # start-up time
             from ..validation import GoldenMismatchError, ValidationSession
 
             session = ValidationSession(spec.config)
@@ -403,7 +393,6 @@ def run_spec(
             traces,
             spec.config,
             record_events=spec.record_events,
-            audit=do_audit,
             sink=sink,
             instrument=session.instrument if session is not None else None,
             engine=eng,
@@ -471,7 +460,7 @@ def _err_record(exc: BaseException, kind: str | None = None) -> tuple:
     )
 
 
-def _run_one(spec: RunSpec, audit: bool) -> tuple:
+def _run_one(spec: RunSpec) -> tuple:
     """Run one spec and return its outcome record (also the worker entry).
 
     Failures are captured and classified *here*, where the spec ran.
@@ -485,7 +474,7 @@ def _run_one(spec: RunSpec, audit: bool) -> tuple:
     """
     fallbacks: list[EngineFallback] = []
     try:
-        result = run_spec(spec, audit=audit, fallbacks=fallbacks)
+        result = run_spec(spec, fallbacks=fallbacks)
     except Exception as exc:
         return _err_record(exc)
     return ("ok", result, tuple(fallbacks))
@@ -539,20 +528,17 @@ class ExecutionPolicy:
     keep_going: bool = False
     #: broken-pool rebuilds tolerated before degrading to in-process
     max_pool_rebuilds: int = 5
-    #: invariant-audit every simulated result before it enters the cache
-    audit: bool = False
 
     @classmethod
     def from_env(cls) -> "ExecutionPolicy":
         """Policy from ``REPRO_RETRIES`` / ``REPRO_RETRY_BACKOFF`` /
-        ``REPRO_SPEC_TIMEOUT`` / ``REPRO_KEEP_GOING`` / ``REPRO_AUDIT``."""
+        ``REPRO_SPEC_TIMEOUT`` / ``REPRO_KEEP_GOING``."""
         backoff = _env_float("REPRO_RETRY_BACKOFF", cls.backoff_s)
         return cls(
             max_attempts=_env_int("REPRO_RETRIES", cls.max_attempts),
             backoff_s=backoff if backoff is not None else 0.0,
             spec_timeout_s=_env_float("REPRO_SPEC_TIMEOUT", None),
             keep_going=_env_flag("REPRO_KEEP_GOING"),
-            audit=_env_flag("REPRO_AUDIT"),
         )
 
 
@@ -620,7 +606,9 @@ _TRANSIENT_TYPES = (
 
 def classify_failure(exc: BaseException) -> str:
     """Map an exception to the runner's failure taxonomy."""
-    if isinstance(exc, InvariantViolation):
+    from ..validation import GoldenMismatchError
+
+    if isinstance(exc, GoldenMismatchError):
         return "invariant"
     if isinstance(exc, BrokenExecutor):
         return "worker-lost"
@@ -957,7 +945,7 @@ class _PlanRunner:
         while (self.suspects or self.queue) and not (self.aborted or self.interrupted):
             key = self._next()
             try:
-                record = _run_one(self.specs[key], self.policy.audit)
+                record = _run_one(self.specs[key])
             except KeyboardInterrupt:
                 self.interrupted = "SIGINT"
                 return
@@ -1037,7 +1025,7 @@ class _PlanRunner:
                 return
             key = self._next()
             try:
-                fut = self.pool.submit(_run_one, self.specs[key], self.policy.audit)
+                fut = self.pool.submit(_run_one, self.specs[key])
             except (BrokenExecutor, RuntimeError) as exc:
                 # the pool died between harvest and submit
                 self.attempts[key] -= 1
@@ -1221,20 +1209,17 @@ def simulation_config(config: SystemConfig) -> SystemConfig:
 def _share_simulations(
     todo: list[tuple[str, RunSpec]],
     digests: dict[TraceIdent, str],
-    audit: bool,
 ) -> tuple[list[tuple[str, RunSpec]], dict[str, list[tuple[str, RunSpec]]]]:
     """Group ``todo`` by simulation key; one representative runs per group.
 
     The simulation key is what a run reads: the content digest of each
     core's memory trace, :func:`simulation_config` and
     ``record_events``.  A spec that asks for observation (telemetry,
-    validate, audit) or whose traces have no digest stays on its own.
+    validate) or whose traces have no digest stays on its own.
     Returns the representatives, the first spec declared of each group,
     in declaration order, and for each representative key the other
     members it serves.
     """
-    if audit or _env_flag("REPRO_AUDIT"):
-        return todo, {}
     # specs share config objects: canonicalize and fingerprint each once
     sim_configs: dict[int, SystemConfig] = {}  # id(config) → simulation config
     config_keys: dict[int, str] = {}  # id(config) → its fingerprint
@@ -1244,7 +1229,7 @@ def _share_simulations(
     sizes: dict[tuple, int] = {}
     for key, spec in todo:
         traces = [digests.get(ident) for ident in _trace_idents(spec)]
-        observed = spec.audit or telemetry_enabled(spec) or validation_enabled(spec)
+        observed = telemetry_enabled(spec) or validation_enabled(spec)
         if observed or None in traces:
             continue
         sim_config = sim_configs.get(id(spec.config))
@@ -1343,7 +1328,7 @@ def execute_plan(
             t_warm = time.perf_counter()
             digests = prewarm_traces(spec for _, spec in todo)
             stats.prewarm_s = time.perf_counter() - t_warm
-            todo, shared = _share_simulations(todo, digests, policy.audit)
+            todo, shared = _share_simulations(todo, digests)
             stats.shared = sum(len(members) for members in shared.values())
         runner = _PlanRunner(todo, jobs, policy, cache, stats, shared)
         if jobs > 1 and len(todo) > 1:

@@ -33,13 +33,14 @@ sequences, and RNG consumption order.  That contract dictates the design:
   columnar buffer is order-sensitive (snapshot order feeds the validation
   recounts and the exporter), and events of different categories
   interleave within one epoch, so batching could not stay bit-identical.
-* **Scalar fallback**: topologies the flat state model does not cover
-  (multi-channel, multi-rank, multi-core) and audited runs (the invariant
-  ``RequestLog`` wraps ``controller.submit``, which the kernel bypasses)
-  fall back to the scalar engine; :func:`run_epoch_kernel` returns the
-  decline reason to its caller (``run_cores`` threads it through to the
-  runner's per-spec fallback records), and ``run_cores`` keeps producing
-  identical results either way.
+* **Dispatch and scalar fallback**: topologies the flat state model does
+  not cover (multi-channel, multi-rank, multi-core) ride
+  :mod:`~repro.kernel.epoch_multi`; the few runs neither kernel models
+  (a refresh policy that declares ``kernel_decline``, the prediction-table
+  ablations) fall back to the scalar engine. :func:`run_epoch_kernel`
+  returns the decline reason to its caller (``run_cores`` threads it
+  through to the runner's per-spec fallback records), and ``run_cores``
+  keeps producing identical results either way.
 
 On exit the kernel writes every piece of local state back into the real
 objects (banks, rank, channel, core, stats, event queue), so downstream
@@ -83,7 +84,7 @@ def resolve_engine(engine: str | None = None) -> str:
     return engine
 
 
-def run_epoch_kernel(memory, cores, max_cycles=None, audited=False) -> str | None:
+def run_epoch_kernel(memory, cores, max_cycles=None) -> str | None:
     """Run the whole simulation through the flat kernel, if supported.
 
     Returns ``None`` when the kernel ran (the caller must skip the scalar
@@ -94,8 +95,6 @@ def run_epoch_kernel(memory, cores, max_cycles=None, audited=False) -> str | Non
     attribute to that spec alone.
     """
     org = memory.config.organization
-    if audited:
-        return "audit wraps controller.submit, which the kernel bypasses"
     decline = memory.controller.refresh_mgr.kernel_decline
     if decline is not None:
         return decline

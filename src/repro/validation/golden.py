@@ -18,7 +18,9 @@ code with the simulator:
   tFAW / tWTR and data-bus exclusivity, replayed online over every
   committed access plan (:class:`TimingOracle`);
 * **SRAM reference model** — a fully-associative, capacity-bounded line
-  set mirrored from the buffer's state-change tap (:class:`SramOracle`).
+  set mirrored from the buffer's state-change tap (:class:`SramOracle`);
+* **causality** — every completed read has a non-negative latency and
+  its column command falls between its arrival and its completion.
 
 A :class:`ValidationSession` owns one of each, attaches them to a
 :class:`~repro.dram.memory_system.MemorySystem` via
@@ -350,6 +352,7 @@ class ValidationSession:
         elif mode is RefreshMode.RAIDR:
             out += self._check_raidr_bins(result, windows, snap)
         out += self._check_counters(result, snap)
+        out += self._check_causality(snap)
         if self.config.rop.enabled:
             out += self._check_lambda_beta(result)
             out += self._check_eq3_events(snap)
@@ -781,6 +784,43 @@ class ValidationSession:
                     )
                 )
         return ms
+
+    def _check_causality(self, snap: dict) -> list[Mismatch]:
+        """No read completes before it arrives or issues outside its life.
+
+        ``COMPLETE`` carries the read's latency, so ``complete − latency``
+        is its arrival; a DRAM-served read's ``ISSUE`` (its column
+        command) must lie in ``[arrival, complete]``. SRAM-served reads
+        emit no ``ISSUE`` and are checked for latency alone.
+        """
+        skew = int(_skew("causality"))
+        kinds = snap["kind"]
+        iss = kinds == int(Kind.ISSUE)
+        done = kinds == int(Kind.COMPLETE)
+        rids, complete, latency = snap["a"][done], snap["cycle"][done], snap["b"][done]
+        channels, ranks = snap["channel"][done], snap["rank"][done]
+        # rid → issue cycle (-1: never issued to DRAM)
+        issue_at = np.full(int(snap["a"][iss | done].max(initial=-1)) + 1, -1)
+        issue_at[snap["a"][iss]] = snap["cycle"][iss]
+        issue = issue_at[rids]
+        arrival = complete - latency + skew
+        bad = (latency < 0) | ((issue >= 0) & ((issue < arrival) | (issue > complete)))
+        ms = [
+            Mismatch(
+                check="causality",
+                site=f"ch{int(channels[i])}.rank{int(ranks[i])}",
+                expected=(
+                    "latency >= 0"
+                    if latency[i] < 0
+                    else f"issue in [{int(arrival[i])},{int(complete[i])}]"
+                ),
+                actual=f"latency {int(latency[i])}, issue {int(issue[i])}",
+                cycle=int(complete[i]),
+                detail=f"read rid {int(rids[i])}",
+            )
+            for i in np.flatnonzero(bad)
+        ]
+        return cap_mismatches(ms, "causality")
 
     def _check_lambda_beta(self, result) -> list[Mismatch]:
         """Frozen λ/β must equal the closed form over the frozen counts."""

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..stats.invariants import InvariantViolation
-
 __all__ = ["Mismatch", "GoldenMismatchError", "render_mismatch_table"]
 
 #: per-check cap on recorded mismatches (a systematically wrong model
@@ -28,8 +26,9 @@ class Mismatch:
     """One disagreement between the simulator and a golden model."""
 
     #: which golden check found it: ``lambda-beta`` | ``eq3-budget`` |
-    #: ``refresh-schedule`` | ``ddr-timing`` | ``sram-model`` |
-    #: ``counters`` | ``stat-band``
+    #: ``refresh-schedule`` | ``darp-schedule`` | ``raidr-bins`` |
+    #: ``sarp-exclusion`` | ``ddr-timing`` | ``sram-model`` |
+    #: ``counters`` | ``causality`` | ``stat-band``
     check: str
     #: where: e.g. ``ch0.rank1`` or ``ch0.rank0.bank3`` or a stat name
     site: str
@@ -42,25 +41,21 @@ class Mismatch:
     detail: str = ""
 
 
-class GoldenMismatchError(InvariantViolation):
+class GoldenMismatchError(AssertionError):
     """A validated run disagreed with at least one golden model.
 
-    Subclasses :class:`InvariantViolation` so the runner's failure
-    taxonomy files it under ``invariant`` — a wrong model, like a
-    violated physical constraint, must never enter the artifact cache
-    silently.
+    The runner's failure taxonomy files it under ``invariant``: a run
+    that breaks a physical constraint or contradicts a model is never
+    retried and never enters the artifact cache.
     """
 
     def __init__(self, mismatches: Iterable[Mismatch]) -> None:
         self.mismatches = tuple(mismatches)
         checks = sorted({m.check for m in self.mismatches})
         super().__init__(
-            site="golden",
-            detail=(
-                f"{len(self.mismatches)} golden-model mismatch(es) "
-                f"in check(s): {', '.join(checks)}\n"
-                + render_mismatch_table(self.mismatches)
-            ),
+            f"{len(self.mismatches)} golden-model mismatch(es) "
+            f"in check(s): {', '.join(checks)}\n"
+            + render_mismatch_table(self.mismatches)
         )
 
 

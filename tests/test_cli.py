@@ -43,6 +43,7 @@ def test_fig1_smoke(capsys):
 
 def test_fig_unknown(capsys):
     assert main(["fig", "99", "gobmk", "--scale", "smoke"]) == 2
+    assert capsys.readouterr().err.startswith("repro fig: unknown figure '99'")
 
 
 def test_instructions_override(capsys):
@@ -89,11 +90,12 @@ def test_fig_reports_runner_stats(capsys):
 def test_parser_fault_tolerance_flags():
     args = build_parser().parse_args(
         ["fig", "1", "gobmk", "--spec-timeout", "30", "--retries", "5",
-         "--keep-going", "--audit"]
+         "--keep-going", "--validate"]
     )
     assert args.spec_timeout == 30.0
     assert args.retries == 5
     assert args.keep_going is True and args.fail_fast is False
+    assert args.validate is True
     with pytest.raises(SystemExit):  # --keep-going and --fail-fast conflict
         build_parser().parse_args(["fig", "1", "x", "--keep-going", "--fail-fast"])
 
@@ -106,13 +108,12 @@ def test_flags_install_execution_policy():
 
     try:
         jobs = _runner_opts(Namespace(no_cache=False, jobs=3, spec_timeout=90.0,
-                                      retries=4, keep_going=True, fail_fast=False,
-                                      audit=True))
+                                      retries=4, keep_going=True, fail_fast=False))
         assert jobs == 3
         policy = current_policy()
         assert policy.spec_timeout_s == 90.0
         assert policy.max_attempts == 4
-        assert policy.keep_going and policy.audit
+        assert policy.keep_going
     finally:
         set_execution_policy(None)
 
@@ -194,11 +195,16 @@ def test_fingerprint_rejects_unknown_names(argv, needle, capsys):
     [
         ["fingerprint", "lbm", "--system", "rop", "--no-cache"],
         ["characterize", "lbm", "--jobs", "2"],
+        ["trace", "lbm", "--validate"],
+        ["trace", "lbm", "--jobs", "4"],
+        ["profile", "lbm", "--jobs", "2"],
+        ["profile", "lbm", "--keep-going"],
     ],
 )
 def test_scale_only_commands_reject_runner_flags(argv, capsys):
-    """fingerprint and characterize run no plan: a runner flag they would
-    ignore is an argparse error, not a silent no-op."""
+    """Commands that run no plan (fingerprint, characterize, and the
+    single-run trace and profile) reject a plan flag they would ignore:
+    an argparse error, not a silent no-op."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -211,3 +217,86 @@ def test_fingerprint_scale_flags_change_the_key(capsys):
         assert main(["fingerprint", "lbm", "--system", "rop", *flags]) == 0
         keys.append(capsys.readouterr().out.split()[0])
     assert len(set(keys)) == len(keys)
+
+
+@pytest.fixture
+def skewed_golden(tmp_path, monkeypatch):
+    """Arm a golden-model skew that refutes every validated spec."""
+    import json
+
+    from repro.harness.runner import clear_result_memo
+
+    faults = tmp_path / "faults.json"
+    faults.write_text(json.dumps({"golden:ddr-timing": 7}))
+    monkeypatch.setenv("REPRO_FAULTS", str(faults))
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    # register teardown restores: main() sets these via os.environ
+    monkeypatch.setenv("REPRO_VALIDATE", "")
+    monkeypatch.setenv("REPRO_ENGINE", "")
+    clear_result_memo()
+
+
+@pytest.mark.parametrize("command", ["compare", "schemes"])
+def test_plan_commands_honour_runner_flags(command, skewed_golden, capsys):
+    argv = [command, "lbm", "--instructions", "100000", "--validate"]
+    assert main(argv) == 1  # fail-fast: the first refuted spec ends the run
+    assert "invariant" in capsys.readouterr().err
+    assert main([*argv, "--keep-going", "--jobs", "2"]) == 0
+    captured = capsys.readouterr()
+    assert "runner:" in captured.out and "jobs=2" in captured.out
+    assert "spec(s) failed" in captured.err and "GoldenMismatchError" in captured.err
+
+
+def test_profile_honours_validate_and_engine(skewed_golden, capsys):
+    argv = ["profile", "lbm", "--instructions", "100000", "--top", "1"]
+    assert main([*argv, "--engine", "epoch"]) == 0
+    assert "[epoch engine]" in capsys.readouterr().out
+    assert main([*argv, "--validate"]) == 1
+    assert "ddr-timing" in capsys.readouterr().err
+
+
+def test_trace_engine_flag_is_bit_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_ENGINE", "")
+    firsts = []
+    for engine in ("scalar", "epoch"):
+        out = tmp_path / f"{engine}.csv"
+        assert main(["trace", "lbm", "--instructions", "100000", "--format", "csv",
+                     "--out", str(out), "--engine", engine]) == 0
+        firsts.append(capsys.readouterr().out.splitlines()[0])
+    assert firsts[0] == firsts[1] and "IPC" in firsts[0]
+    assert (tmp_path / "scalar.csv").read_bytes() == (tmp_path / "epoch.csv").read_bytes()
+
+
+def test_schemes_raidr_uses_the_zoo_bin_window(capsys):
+    assert main(["schemes", "lbm", "--scale", "smoke"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(ln for ln in lines if ln.startswith("benchmark")).split()
+    cells = dict(zip(header, next(ln for ln in lines if ln.startswith("lbm")).split()))
+    # the default 8192-tick window never wraps in a run this short, which
+    # would make RAIDR read exactly like auto-refresh
+    assert cells["auto_1x"] == "1.0000" and cells["raidr"] != "1.0000"
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["fig", "10", "lbm"], "unknown mix 'lbm'"),
+        (["fig", "7", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["analyze", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["sweep", "lbm", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["compare", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["schemes", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["characterize", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["trace", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["profile", "nosuch"], "unknown benchmark 'nosuch'"),
+        (["profile", "--mix", "WL9"], "unknown mix 'WL9'"),
+    ],
+)
+def test_unknown_names_exit_2_with_one_line(argv, needle, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"repro {argv[0]}: ") and needle in lines[0]
+    assert "known: " in lines[0]

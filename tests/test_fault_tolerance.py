@@ -321,22 +321,22 @@ class TestCacheWriteWarning:
         assert cache.write_errors == 2
 
 
-class TestAudit:
-    def test_audited_run_spec_matches_unaudited(self):
+class TestValidate:
+    def test_validated_run_spec_matches_unvalidated(self):
         spec = tiny_specs(("gobmk",))[0]
         plain = run_spec(spec)
-        audited = run_spec(spec, audit=True)
-        assert audited.cores == plain.cores
-        assert audited.stats == plain.stats
+        validated = run_spec(dataclasses.replace(spec, validate=True))
+        assert validated.cores == plain.cores
+        assert validated.stats == plain.stats
 
-    def test_audit_via_spec_field_and_events(self):
+    def test_validate_via_spec_field_and_events(self):
         cfg = SystemConfig.single_core()
         spec = dataclasses.replace(
-            RunSpec.benchmark("gobmk", cfg, TINY, record_events=True), audit=True
+            RunSpec.benchmark("gobmk", cfg, TINY, record_events=True), validate=True
         )
-        result = run_spec(spec)  # full audit incl. lock/refresh checks
+        result = run_spec(spec)  # every golden check, lock exclusion included
         assert result.events is not None
-        # audit is excluded from the cache key: same artifact either way
+        # validate is excluded from the cache key: same artifact either way
         assert spec.key == RunSpec.benchmark("gobmk", cfg, TINY, record_events=True).key
 
 

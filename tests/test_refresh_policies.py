@@ -13,6 +13,7 @@ import hashlib
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro import MemoryOrganization, RefreshConfig, RefreshMode, SystemConfig
@@ -171,6 +172,48 @@ class TestSarp:
         assert s1 >= rank.banks[0].busy_until or s1 >= 500
         s2, _e2 = rank.start_subarray_refresh(s1, T, 0, 1, 256)
         assert s2 >= e1  # back-to-back subarray locks serialize per bank
+
+    def test_lock_committed_ahead_still_gates_its_subarray(self):
+        """Regression: a bank's subarray locks are committed ahead of time,
+        so a later lock on subarray 1 must not lift the gate on subarray
+        0, whose own lock still lies in the future."""
+        rank = Rank(8)
+        rank.sub_rows = 256
+        _s1, e1 = rank.start_subarray_refresh(1000, T, 0, 0, 256)
+        s2, e2 = rank.start_subarray_refresh(1000, T, 0, 1, 256)
+        assert s2 >= e1
+        assert rank.plan(1000, 0, 5, False, T).col_cycle >= e1
+        assert rank.plan(1000, 0, 256 + 5, False, T).col_cycle >= e2
+
+    def test_lock_committed_ahead_holds_end_to_end(self):
+        """The same overlap, reached by a ROP run that commits the next
+        subarray lock while a read to the earlier one waits: the SARP
+        golden model must see no burst inside a lock."""
+        org = MemoryOrganization(channels=1, ranks=1, banks=4, rows=256, columns=32)
+        cfg = (
+            SystemConfig.single_core(
+                organization=org, timings=T.with_refresh(refi=1200, rfc=100)
+            )
+            .with_refresh_mode(RefreshMode.SARP)
+            .with_refresh_opts(subarrays_per_bank=2)
+            .with_rop(
+                sram_lines=64,
+                training_refreshes=1,
+                probabilistic=False,
+                drain_before_refresh=False,
+                adaptive_depth=False,
+            )
+        )
+        gaps = [500, 0, 0, 0, 500, 0, 0, 0, 0, 0, 500, 0, 0, 0, 3865, 0, 0, 0, 0, 0]
+        lines = [0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 0, 32, 64, 96, 0, 32, 64, 96, 128, 160]
+        trace = AccessTrace(
+            gaps=np.array(gaps),
+            lines=np.array(lines),
+            writes=np.zeros(len(gaps), dtype=bool),
+            tail_instructions=0,
+        )
+        _result, mismatches = validate_traces([trace], cfg)
+        assert mismatches == []
 
     def test_open_row_closed_only_when_in_refreshing_subarray(self):
         rank = Rank(8)

@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from repro import SystemConfig
+from repro import RefreshMode, SystemConfig
 from repro.harness import EngineFallback, RunScale, RunSpec, execute_plan
 from repro.harness.cache import ArtifactCache, MISS
 from repro.harness.cache_gc import collect, iter_entries, parse_quota, usage, verify
@@ -126,20 +126,21 @@ class TestEngineFaultFallback:
         assert last_stats().quarantined == 0
         assert len(results.engine_fallbacks) == 0
 
-    def test_declined_audit_recorded_not_counted(self, monkeypatch):
-        # audit wraps controller.submit, which the kernel bypasses: a
-        # routine decline, recorded for observability but never counted
-        # as a fault or quarantined
-        spec = RunSpec.benchmark("lbm", SystemConfig.single_core(), TINY)
+    def test_declined_darp_recorded_not_counted(self, monkeypatch):
+        # DARP's out-of-order schedule needs live queue state the kernels
+        # do not model: a routine decline, recorded for observability but
+        # never counted as a fault or quarantined
+        cfg = SystemConfig.single_core().with_refresh_mode(RefreshMode.DARP)
+        spec = RunSpec.benchmark("lbm", cfg, TINY)
         monkeypatch.setenv("REPRO_ENGINE", "epoch")
-        results = execute_plan([spec], jobs=1, policy=policy(audit=True))
+        results = execute_plan([spec], jobs=1, policy=policy())
         assert results.ok(spec)
         assert last_stats().engine_fallbacks == 0
         assert last_stats().quarantined == 0
         assert len(results.engine_fallbacks) == 1
         fb = results.engine_fallbacks[0]
         assert fb.kind == "declined"
-        assert "audit" in fb.reason
+        assert "darp" in fb.reason
         assert fb.quarantine == ""
 
 

@@ -333,31 +333,32 @@ class TestSharedSimulations:
     def test_observation_specs_run_alone(self, run_spec_calls, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         plain = self._variants("gobmk", self.SIZES[:2])
-        telemetry, validate, audit = (
+        telemetry, validate = (
             self._variants("gobmk", (size,), **{flag: True})[0]
-            for flag, size in zip(("telemetry", "validate", "audit"), (*self.SIZES[2:], 16 << 20))
+            for flag, size in zip(("telemetry", "validate"), self.SIZES[2:])
         )
-        specs = plain + [telemetry, validate, audit]
+        specs = plain + [telemetry, validate]
         assert self._same_traces(specs)
         execute_plan(specs, jobs=1, cache=NullCache())
-        assert run_spec_calls == [plain[0].key, telemetry.key, validate.key, audit.key]
+        assert run_spec_calls == [plain[0].key, telemetry.key, validate.key]
         assert last_stats().shared == 1
         assert (tmp_path / f"gobmk-{telemetry.key[:12]}.trace.json").exists()
 
     def test_observation_by_policy_or_env_disables_sharing(self, monkeypatch):
+        # observation is asked for by spec flag or env; the execution
+        # policy carries no observation knob
         specs = self._variants("gobmk", self.SIZES)
         todo = [(s.key, s) for s in specs]
         digests = {ident: "same" for s in specs for ident in runner._trace_idents(s)}
-        reps, shared = runner._share_simulations(todo, digests, audit=False)
+        reps, shared = runner._share_simulations(todo, digests)
         assert reps == todo[:1] and len(shared[specs[0].key]) == 3
-        assert runner._share_simulations(todo, digests, audit=True) == (todo, {})
-        for env in ("REPRO_AUDIT", "REPRO_TELEMETRY", "REPRO_VALIDATE"):
+        for env in ("REPRO_TELEMETRY", "REPRO_VALIDATE"):
             monkeypatch.setenv(env, "1")
-            assert runner._share_simulations(todo, digests, audit=False) == (todo, {})
+            assert runner._share_simulations(todo, digests) == (todo, {})
             monkeypatch.delenv(env)
         # a trace whose prewarm failed has no digest: its spec runs alone
         del digests[runner._trace_idents(specs[1])[0]]
-        reps, shared = runner._share_simulations(todo, digests, audit=False)
+        reps, shared = runner._share_simulations(todo, digests)
         assert [k for k, _ in reps] == [specs[0].key, specs[1].key]
 
     def test_representative_decline_reported_under_every_member(self, monkeypatch):

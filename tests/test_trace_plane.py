@@ -98,7 +98,7 @@ class TestStoreLoad:
 class TestReadOnly:
     """Plane-backed arrays are shared pages: writes must be impossible.
 
-    Every ``SpecProfile.memory_trace`` consumer was audited to only
+    Every ``SpecProfile.memory_trace`` consumer was checked to only
     *read* the arrays (``tolist`` copies, arithmetic allocates, the
     epoch kernel's columnar decode allocates); these tests pin the
     contract so a future consumer that scribbles into the shared mmap

@@ -130,6 +130,7 @@ _FAILPOINTS = {
     "sram-model": 3,
     "counters": 2,
     "eq3-budget": 15,
+    "causality": 7,
 }
 
 
