@@ -27,7 +27,6 @@ from .harness import (
     ZOO_DENSITIES,
     ZOO_POLICIES,
     ConfigError,
-    ExecutionPolicy,
     PlanExecutionError,
     RunPlan,
     RunScale,
@@ -42,8 +41,6 @@ from .harness import (
     last_fallbacks,
     last_stats,
     reporting,
-    set_cache_enabled,
-    set_execution_policy,
 )
 from .validation import GoldenMismatchError, known_systems, system_config
 from .workloads import SPEC_PROFILES, WORKLOAD_MIXES, profile
@@ -51,38 +48,27 @@ from .workloads import SPEC_PROFILES, WORKLOAD_MIXES, profile
 __all__ = ["main"]
 
 
-def _runner_opts(args) -> int | None:
-    """Apply runner flags (cache, failure policy); return the --jobs value.
+def _env_overlay(args) -> dict[str, str]:
+    """The ``REPRO_*`` values this command's run-option flags stand for.
 
-    The fault-tolerance policy starts from the ``REPRO_*`` environment
-    and is overridden by the explicit flags; it is installed process-wide
-    so every driver the command calls inherits it.
+    The environment is the one channel for run options: every layer
+    reads it, and pool workers inherit it.  :func:`main` applies the
+    overlay for one command and restores the previous values after it.
     """
-    if getattr(args, "no_cache", False):
-        set_cache_enabled(False)
-    if getattr(args, "telemetry", False):
-        # env vars, not process globals: spawned workers must see them too
-        os.environ["REPRO_TELEMETRY"] = "1"
-    if getattr(args, "validate", False):
-        os.environ["REPRO_VALIDATE"] = "1"
-    if getattr(args, "trace_dir", None):
-        os.environ["REPRO_TRACE_DIR"] = str(args.trace_dir)
-    if getattr(args, "engine", None):
-        os.environ["REPRO_ENGINE"] = args.engine
-    import dataclasses
-
-    policy = ExecutionPolicy.from_env()
-    overrides = {}
-    if getattr(args, "spec_timeout", None) is not None:
-        overrides["spec_timeout_s"] = args.spec_timeout if args.spec_timeout > 0 else None
-    if getattr(args, "retries", None) is not None:
-        overrides["max_attempts"] = max(1, args.retries)
-    if getattr(args, "keep_going", False):
-        overrides["keep_going"] = True
+    keep_going = "1" if getattr(args, "keep_going", False) else None
     if getattr(args, "fail_fast", False):
-        overrides["keep_going"] = False
-    set_execution_policy(dataclasses.replace(policy, **overrides) if overrides else policy)
-    return getattr(args, "jobs", None)
+        keep_going = "0"
+    flags = {
+        "REPRO_ENGINE": getattr(args, "engine", None),
+        "REPRO_VALIDATE": "1" if getattr(args, "validate", False) else None,
+        "REPRO_TELEMETRY": "1" if getattr(args, "telemetry", False) else None,
+        "REPRO_TRACE_DIR": getattr(args, "trace_dir", None),
+        "REPRO_CACHE": "off" if getattr(args, "no_cache", False) else None,
+        "REPRO_SPEC_TIMEOUT": getattr(args, "spec_timeout", None),
+        "REPRO_RETRIES": getattr(args, "retries", None),
+        "REPRO_KEEP_GOING": keep_going,
+    }
+    return {name: str(value) for name, value in flags.items() if value is not None}
 
 
 #: figures whose positional names are workload mixes, not benchmarks
@@ -148,7 +134,6 @@ def _cmd_info(args) -> int:
 
 def _cmd_compare(args) -> int:
     scale = _scale(args)
-    jobs = _runner_opts(args)
     cfg = SystemConfig.single_core()
     configs = (
         cfg,
@@ -160,7 +145,7 @@ def _cmd_compare(args) -> int:
         name: [plan.benchmark(name, c, scale) for c in configs]
         for name in args.benchmarks
     }
-    results = plan.execute(jobs=jobs)
+    results = plan.execute(jobs=args.jobs)
     for name, specs in grid.items():
         if not results.ok(*specs):
             continue  # keep-going: a run failed; the failure report names it
@@ -183,8 +168,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_analyze(args) -> int:
     scale = _scale(args)
-    jobs = _runner_opts(args)
-    rows = fig2_to_4_and_table1(tuple(args.benchmarks), scale, jobs=jobs)
+    rows = fig2_to_4_and_table1(tuple(args.benchmarks), scale, jobs=args.jobs)
     print(reporting.render_table1(rows))
     print()
     print(reporting.render_fig2(rows))
@@ -198,14 +182,13 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_fig(args) -> int:
     scale = _scale(args)
-    jobs = _runner_opts(args)
     fig = args.figure
     benches = tuple(args.benchmarks) if args.benchmarks else DEFAULT_BENCHMARKS
     mixes = tuple(args.benchmarks) if args.benchmarks else tuple(WORKLOAD_MIXES)
     if fig == "1":
-        print(reporting.render_fig1(fig1_refresh_overheads(benches, scale, jobs=jobs)))
+        print(reporting.render_fig1(fig1_refresh_overheads(benches, scale, jobs=args.jobs)))
     elif fig in ("2", "3", "4", "t1"):
-        rows = fig2_to_4_and_table1(benches, scale, jobs=jobs)
+        rows = fig2_to_4_and_table1(benches, scale, jobs=args.jobs)
         render = {
             "2": reporting.render_fig2,
             "3": reporting.render_fig3,
@@ -215,16 +198,16 @@ def _cmd_fig(args) -> int:
         print(render(rows))
     elif fig in ("7", "8", "9"):
         rows = fig7_8_9_rop_comparison(
-            benches, scale, sram_sizes=(16, 32, 64, 128), jobs=jobs
+            benches, scale, sram_sizes=(16, 32, 64, 128), jobs=args.jobs
         )
         print(reporting.render_fig7_8_9(rows))
     elif fig in ("10", "11"):
         print(
-            reporting.render_fig10_11(fig10_11_weighted_speedup(mixes, scale, jobs=jobs))
+            reporting.render_fig10_11(fig10_11_weighted_speedup(mixes, scale, jobs=args.jobs))
         )
     elif fig in ("12", "13", "14"):
         rows = fig12_13_14_llc_sensitivity(
-            mixes, scale, llc_sweep=tuple(m << 20 for m in (1, 2, 4, 8)), jobs=jobs
+            mixes, scale, llc_sweep=tuple(m << 20 for m in (1, 2, 4, 8)), jobs=args.jobs
         )
         metric = {"12": "norm_ws", "13": "norm_energy", "14": "rop_armed_hit_rate"}[fig]
         print(reporting.render_llc_sensitivity(rows, metric))
@@ -236,7 +219,6 @@ def _cmd_fig(args) -> int:
 
 def _cmd_schemes(args) -> int:
     scale = _scale(args)
-    jobs = _runner_opts(args)
     cfg = SystemConfig.single_core()
     # the zoo's per-mode refresh options (RAIDR's short bin window)
     opts = {mode: o for mode, rop, o in ZOO_POLICIES.values() if not rop}
@@ -250,7 +232,7 @@ def _cmd_schemes(args) -> int:
         name: {h: plan.benchmark(name, c, scale) for h, c in configs.items()}
         for name in args.benchmarks
     }
-    results = plan.execute(jobs=jobs)
+    results = plan.execute(jobs=args.jobs)
     body = []
     for name, specs in grid.items():
         if not results.ok(*specs.values()):
@@ -266,12 +248,11 @@ def _cmd_schemes(args) -> int:
 def _cmd_sweep(args) -> int:
     """Refresh-policy zoo: policy × device-density IPC/energy matrix."""
     scale = _scale(args)
-    jobs = _runner_opts(args)
     policies = tuple(args.refresh) if args.refresh else None
     densities = tuple(args.density) if args.density else ZOO_DENSITIES
     benches = tuple(args.benchmarks) if args.benchmarks else ("lbm", "libquantum")
     rows = zoo_sweep(
-        benches, scale, densities=densities, policies=policies, jobs=jobs
+        benches, scale, densities=densities, policies=policies, jobs=args.jobs
     )
     print(render_zoo(rows))
     _print_runner_stats(args)
@@ -280,15 +261,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_trace(args) -> int:
     """Run one benchmark with full telemetry and export its trace."""
+    from .kernel import resolve_engine
     from .telemetry import MetricsRegistry, TraceSink, write_chrome_trace, write_csv, write_jsonl
 
+    engine = resolve_engine()
     scale = _scale(args)
     cfg = SystemConfig.single_core()
     if not args.baseline:
         cfg = cfg.with_rop(training_refreshes=scale.training_refreshes)
     mt = profile(args.benchmark).memory_trace(scale.instructions, cfg.llc, seed=scale.seed)
     sink = TraceSink(capacity=args.capacity)
-    result = run_cores([mt], cfg, sink=sink, engine=args.engine)
+    result = run_cores([mt], cfg, sink=sink, engine=engine)
 
     suffix = {"chrome": ".trace.json", "jsonl": ".jsonl", "csv": ".csv"}[args.format]
     out = Path(args.out) if args.out else Path(f"{args.benchmark}{suffix}")
@@ -324,9 +307,10 @@ def _cmd_profile(args) -> int:
 
     from .harness import RunSpec
     from .harness.runner import run_spec
+    from .kernel import resolve_engine
 
+    engine = resolve_engine()
     scale = _scale(args)
-    _runner_opts(args)
     if bool(args.mix) == bool(args.benchmark):
         print("repro profile: name a benchmark or pass --mix (not both)",
               file=sys.stderr)
@@ -352,9 +336,7 @@ def _cmd_profile(args) -> int:
     prof.enable()
     result = run_spec(spec)
     prof.disable()
-    from .kernel import resolve_engine
-
-    print(f"{label} [{resolve_engine()} engine]: IPC {result.ipc:.4f}, "
+    print(f"{label} [{engine} engine]: IPC {result.ipc:.4f}, "
           f"{result.stats.demand_accesses} demand accesses, "
           f"{result.end_cycle} controller cycles")
     stats = pstats.Stats(prof)
@@ -367,8 +349,14 @@ def _cmd_profile(args) -> int:
 
 def _cmd_validate(args) -> int:
     """Run the committed validation corpus under the golden models."""
+    from .harness.faults import fault_table
+    from .kernel import resolve_engine
     from .validation import load_corpus, render_mismatch_table, run_entry
 
+    # a malformed engine or fault file exits 2 before any run; an
+    # unreadable fault file would otherwise disarm the golden skews
+    resolve_engine()
+    fault_table()
     entries = load_corpus(args.corpus)
     if args.list:
         for e in entries:
@@ -732,16 +720,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point.
 
+    The run-option flags become ``REPRO_*`` variables for this command
+    (:func:`_env_overlay`); every ``REPRO_*`` entry of ``os.environ`` is
+    restored afterwards, so one call never leaks into the next.
+
     Translates library errors into exit codes here, at the boundary:
     malformed configuration (``ConfigError``, including an unknown
-    benchmark or mix name) exits 2 with one stderr line; a fail-fast plan
+    benchmark or mix name and a malformed ``REPRO_*`` value) exits 2
+    with one stderr line; a fail-fast plan
     failure prints the failure report and exits 1, as does a golden-model
     mismatch of a single validated run (``profile --validate``); and an
     interrupt (after the runner has persisted completed results and
     printed its resume hint) exits 130.
     """
     args = build_parser().parse_args(argv)
+    saved = {name: value for name, value in os.environ.items() if name.startswith("REPRO_")}
     try:
+        os.environ.update(_env_overlay(args))
         _check_names(args)
         return args.func(args)
     except ConfigError as exc:
@@ -756,7 +751,10 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         return 130
     finally:
-        set_execution_policy(None)
+        for name in [n for n in os.environ if n.startswith("REPRO_")]:
+            if name not in saved:
+                del os.environ[name]
+        os.environ.update(saved)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -37,7 +37,17 @@ __all__ = [
     "LlcConfig",
     "SystemConfig",
     "CACHE_LINE_BYTES",
+    "ConfigError",
 ]
+
+
+class ConfigError(ValueError):
+    """A run option (CLI flag or ``REPRO_*`` env var) is malformed.
+
+    Raised from library code; only the CLI boundary translates it into
+    an exit message.
+    """
+
 
 #: Cache-line (DRAM burst) size in bytes; fixed at 64 B throughout.
 CACHE_LINE_BYTES: int = 64

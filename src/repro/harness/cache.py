@@ -21,7 +21,7 @@ Environment knobs:
 * ``REPRO_CACHE_DIR`` — cache directory (default
   ``~/.cache/repro-artifacts``);
 * ``REPRO_CACHE=off`` (or ``0``) — disable the disk cache entirely; the
-  CLI's ``--no-cache`` flag does the same per invocation.
+  CLI's ``--no-cache`` flag sets it for one command.
 
 Both this cache and the trace plane are :class:`EntryStore` trees with
 one commit rule: an entry is written to a temp file in its shard and
@@ -58,7 +58,6 @@ __all__ = [
     "NullCache",
     "get_cache",
     "cache_enabled",
-    "set_cache_enabled",
     "default_cache_dir",
     "MISS",
 ]
@@ -327,8 +326,6 @@ class NullCache:
 
 _NULL = NullCache()
 _INSTANCES: dict[Path, ArtifactCache] = {}
-#: process-wide override set by ``set_cache_enabled`` (None → env decides)
-_ENABLED_OVERRIDE: bool | None = None
 
 
 def default_cache_dir() -> Path:
@@ -340,16 +337,8 @@ def default_cache_dir() -> Path:
 
 
 def cache_enabled() -> bool:
-    """Whether the disk cache is active (override, else env, else on)."""
-    if _ENABLED_OVERRIDE is not None:
-        return _ENABLED_OVERRIDE
+    """Whether the disk cache is active (``REPRO_CACHE``, default on)."""
     return os.environ.get("REPRO_CACHE", "on").lower() not in ("0", "off", "false", "no")
-
-
-def set_cache_enabled(enabled: bool | None) -> None:
-    """Force the cache on/off for this process (``None`` restores env control)."""
-    global _ENABLED_OVERRIDE
-    _ENABLED_OVERRIDE = enabled
 
 
 def get_cache() -> ArtifactCache | NullCache:

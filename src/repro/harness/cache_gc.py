@@ -34,6 +34,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..config import ConfigError
 from .cache import ArtifactCache, default_cache_dir
 from .trace_plane import TracePlane
 
@@ -87,16 +88,12 @@ def parse_quota(raw: str | int) -> int:
     else:
         m = re.fullmatch(r"\s*(\d+(?:\.\d+)?)\s*([kKmMgGtT]?)[bB]?\s*", str(raw))
         if not m:
-            from .runner import ConfigError
-
             raise ConfigError(
                 f"cache quota must be bytes or <n>[K|M|G|T], got {raw!r}"
             )
         scale = {"": 1, "k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
         value = int(float(m.group(1)) * scale[m.group(2).lower()])
     if value <= 0:
-        from .runner import ConfigError
-
         raise ConfigError(f"cache quota must be positive, got {raw!r}")
     return value
 
@@ -104,7 +101,10 @@ def parse_quota(raw: str | int) -> int:
 def quota_from_env() -> int | None:
     """``REPRO_CACHE_QUOTA`` as bytes, or None when unset."""
     raw = os.environ.get("REPRO_CACHE_QUOTA", "").strip()
-    return parse_quota(raw) if raw else None
+    try:
+        return parse_quota(raw) if raw else None
+    except ConfigError as exc:
+        raise ConfigError(f"REPRO_CACHE_QUOTA: {exc}") from None
 
 
 def _shard_dirs(root: Path) -> list[Path]:

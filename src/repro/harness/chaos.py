@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..config import ConfigError
 from .cache import default_cache_dir
 
 __all__ = [
@@ -105,8 +106,6 @@ def chaos_spec() -> ChaosSpec | None:
     raw = os.environ.get("REPRO_CHAOS", "").strip()
     if not raw:
         return None
-    from .runner import ConfigError  # deferred: runner imports this package
-
     parts = raw.split(":")
     if len(parts) not in (2, 3):
         raise ConfigError(

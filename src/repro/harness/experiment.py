@@ -1,30 +1,20 @@
-"""Core experiment plumbing shared by all table/figure drivers.
+"""Run length and seed shared by all table/figure drivers.
 
 An *experiment* is one co-simulation of a workload against a memory
 configuration; :class:`RunScale` fixes its length and seed so every driver
-(and every pytest-benchmark target) can be shrunk or grown uniformly via
-the ``REPRO_SCALE`` environment variable:
+(and every pytest-benchmark target, through ``REPRO_SCALE``) can be shrunk
+or grown uniformly:
 
-* ``REPRO_SCALE=smoke`` — seconds-long runs for CI / unit use,
-* ``REPRO_SCALE=default`` — minutes-long runs with stable statistics,
-* ``REPRO_SCALE=paper`` — the scale used to produce EXPERIMENTS.md.
-
-Alone-run IPCs (the denominator of weighted speedup) are pure functions
-of (benchmark, LLC share, scale, memory configuration) and are served
-through the runner's memo + artifact cache, keyed on a full config
-fingerprint — two different ``SystemConfig``s never share an IPC.
+* ``smoke`` — seconds-long runs for CI / unit use,
+* ``default`` — minutes-long runs with stable statistics,
+* ``paper`` — the scale used to produce EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from ..config import LlcConfig, RefreshMode, SystemConfig
-from ..cpu import MulticoreResult
-from ..energy import EnergyBreakdown, system_energy
-
-__all__ = ["RunScale", "SystemRun", "run_benchmark", "alone_ipc", "scale_from_env"]
+__all__ = ["RunScale"]
 
 _SCALES = {
     # (instructions, ROP training refreshes): training shrinks with run
@@ -53,81 +43,3 @@ class RunScale:
         except KeyError:
             raise KeyError(f"unknown scale {name!r}; known: {sorted(_SCALES)}") from None
         return cls(instructions=instructions, seed=seed, training_refreshes=training)
-
-
-def scale_from_env(default: str = "default") -> RunScale:
-    """Scale selected by the ``REPRO_SCALE`` environment variable."""
-    return RunScale.named(os.environ.get("REPRO_SCALE", default))
-
-
-@dataclass(frozen=True)
-class SystemRun:
-    """One benchmark × one memory system, with derived metrics."""
-
-    benchmark: str
-    system: str
-    result: MulticoreResult
-    energy: EnergyBreakdown
-
-    @property
-    def ipc(self) -> float:
-        """IPC of core 0 (single-core experiments)."""
-        return self.result.ipc
-
-    @property
-    def lock_hit_rate(self) -> float:
-        """The Fig. 9 SRAM hit-rate metric."""
-        return self.result.stats.lock_hit_rate
-
-    @property
-    def armed_hit_rate(self) -> float:
-        """Hit rate over armed locks only (training excluded)."""
-        if self.result.rop_summary is None:
-            return 0.0
-        return self.result.rop_summary["armed_hit_rate"]
-
-
-def run_benchmark(
-    name: str,
-    config: SystemConfig,
-    scale: RunScale,
-    *,
-    system: str = "",
-    record_events: bool = False,
-) -> SystemRun:
-    """Run one benchmark profile on one memory configuration.
-
-    Routed through the runner, so repeated identical runs (across
-    drivers, processes or invocations) are served from the memo or the
-    persistent artifact cache.
-    """
-    from .runner import RunSpec, execute_plan
-
-    spec = RunSpec.benchmark(name, config, scale, record_events=record_events)
-    result = execute_plan([spec], jobs=1)[spec]
-    return SystemRun(
-        benchmark=name,
-        system=system or "custom",
-        result=result,
-        energy=system_energy(result.stats, config),
-    )
-
-
-def alone_ipc(name: str, llc: LlcConfig, scale: RunScale, config: SystemConfig) -> float:
-    """IPC of a benchmark running alone (weighted-speedup denominator).
-
-    Computed on the non-partitioned baseline memory with refresh on —
-    the conventional choice for Eq. 4.  Cached through the runner under a
-    *full* config fingerprint (refresh mode, timings, address mapping,
-    scheduler — everything), so two different memory systems never
-    silently share an alone IPC.
-    """
-    from .runner import RunSpec, execute_plan
-
-    spec = RunSpec.alone(name, llc, scale, config)
-    return execute_plan([spec], jobs=1)[spec].ipc
-
-
-def no_refresh(config: SystemConfig) -> SystemConfig:
-    """The idealized upper-bound memory for a configuration."""
-    return config.with_refresh_mode(RefreshMode.NONE)

@@ -42,39 +42,55 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ..config import ConfigError
+
 if TYPE_CHECKING:  # pragma: no cover
     from .runner import RunSpec
 
-__all__ = ["maybe_inject", "golden_skew"]
+__all__ = ["fault_table", "maybe_inject", "golden_skew"]
 
 
-def golden_skew(check: str):
-    """Armed skew for golden check ``check`` (None when not armed).
+def fault_table() -> dict | None:
+    """The parsed ``REPRO_FAULTS`` file; None when the variable is unset.
 
-    Reads ``REPRO_FAULTS`` the same way :func:`maybe_inject` does but
-    looks up the ``"golden:<check>"`` key. Unreadable or malformed
-    fault files disarm quietly — validation must never fail because a
-    chaos-test fixture vanished.
+    A missing, unreadable or non-object file raises
+    :class:`~repro.config.ConfigError` naming the variable.
     """
     path = os.environ.get("REPRO_FAULTS")
     if not path:
         return None
     try:
         table = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"REPRO_FAULTS must name a JSON fault file: {exc}") from None
+    if not isinstance(table, dict):
+        raise ConfigError(f"REPRO_FAULTS file {path} must hold a JSON object")
+    return table
+
+
+def golden_skew(check: str):
+    """Armed skew for golden check ``check`` (None when not armed).
+
+    Looks up the ``"golden:<check>"`` key of :func:`fault_table`.
+    :func:`~repro.harness.runner.execute_plan` and ``repro validate``
+    reject an unreadable fault file up front; one that vanishes during
+    a run disarms quietly rather than failing the validated run.
+    """
+    try:
+        table = fault_table()
+    except ConfigError:
         return None
-    return table.get(f"golden:{check}")
+    return None if table is None else table.get(f"golden:{check}")
 
 
 def maybe_inject(spec: "RunSpec") -> None:
     """Trigger the configured fault for ``spec``, if any (else no-op)."""
-    path = os.environ.get("REPRO_FAULTS")
-    if not path:
+    table = fault_table()
+    if table is None:
         return
-    table = json.loads(Path(path).read_text())
     directive = table.get(spec.key) or table.get("+".join(spec.workloads))
     if directive:
-        _apply(directive, spec, Path(path))
+        _apply(directive, spec, Path(os.environ["REPRO_FAULTS"]))
 
 
 def _apply(directive: dict, spec: "RunSpec", faults_path: Path) -> None:

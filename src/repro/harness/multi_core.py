@@ -22,18 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import LlcConfig, SystemConfig
+from ..config import SystemConfig
 from ..cpu import MulticoreResult
 from ..energy import EnergyBreakdown, system_energy
 from ..stats.metrics import weighted_speedup
 from ..workloads import WORKLOAD_MIXES, mix_profiles
 from .experiment import RunScale
-from .runner import PlanExecutionError, PlanResults, RunPlan, RunSpec, core_llc_share
+from .runner import PlanResults, RunPlan, RunSpec
 
 __all__ = [
     "MixRun",
     "LLC_SWEEP_BYTES",
-    "run_mix",
     "fig10_11_weighted_speedup",
     "fig12_13_14_llc_sensitivity",
 ]
@@ -51,11 +50,6 @@ class MixRun:
     result: MulticoreResult
     energy: EnergyBreakdown
     weighted_speedup: float
-
-
-def _core_llc_share(llc_bytes: int, cores: int = 4) -> LlcConfig:
-    """Per-core slice of the statically partitioned shared LLC."""
-    return core_llc_share(llc_bytes, cores)
 
 
 @dataclass(frozen=True)
@@ -100,25 +94,6 @@ def _declare_mix(
         plan.alone(p.name, spec.trace_llc, scale, config) for p in mix_profiles(mix)
     )
     return _MixPoint(mix, system or "custom", config, spec, alone_specs)
-
-
-def run_mix(
-    mix: str,
-    config: SystemConfig,
-    scale: RunScale,
-    *,
-    system: str = "",
-    llc_bytes: int | None = None,
-    jobs: int | None = None,
-) -> MixRun:
-    """Run one mix on one memory system and compute its weighted speedup."""
-    plan = RunPlan()
-    point = _declare_mix(plan, mix, config, scale, system=system, llc_bytes=llc_bytes)
-    results = plan.execute(jobs=jobs)
-    if not point.complete(results):
-        # keep-going cannot salvage a single point: every spec is needed
-        raise PlanExecutionError(results.failures)
-    return point.assemble(results)
 
 
 def three_systems(

@@ -24,11 +24,18 @@ of looping, a driver *declares* its grid as :class:`RunSpec` points on a
   ``SystemConfig`` without the fields the simulator ignores, such as
   ``llc``, which only shapes the traces) and ``record_events`` coincide
   **share one simulation**: the first one declared runs, and its result
-  is published under every member's own key (telemetry and validate
-  specs always run on their own);
+  is published under every member's own key (under ``REPRO_TELEMETRY``
+  or ``REPRO_VALIDATE`` every spec runs on its own);
 * every pool future carries **one spec**, with up to two per worker in
   flight so a worker never idles while the parent stores the last
   result.
+
+Run options reach a plan through one channel, the ``REPRO_*``
+environment, which pool workers inherit; the CLI turns its flags into
+those variables for the duration of one command.  :func:`execute_plan`
+parses every variable it and :func:`run_spec` read before its first
+memo or cache lookup, so a malformed one raises :class:`ConfigError`
+before anything simulates.
 
 Execution is **fault tolerant**: outcomes are tracked per spec, so one
 worker crash, hang or pathological config loses only the culprit spec.
@@ -73,7 +80,7 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessP
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable
 
-from ..config import LlcConfig, RefreshConfig, RefreshMode, RopConfig, SystemConfig
+from ..config import ConfigError, LlcConfig, RefreshConfig, RefreshMode, RopConfig, SystemConfig
 from ..cpu import MulticoreResult, run_cores
 from ..workloads import mix_profiles, profile
 from .cache import MISS, fingerprint, get_cache
@@ -94,7 +101,6 @@ __all__ = [
     "SpecFailure",
     "cached_result",
     "classify_failure",
-    "current_policy",
     "execute_plan",
     "run_spec",
     "spec_fingerprint",
@@ -105,18 +111,9 @@ __all__ = [
     "last_failures",
     "last_fallbacks",
     "session_stats",
-    "set_execution_policy",
     "simulation_config",
     "clear_result_memo",
 ]
-
-
-class ConfigError(ValueError):
-    """A runner knob (CLI flag or ``REPRO_*`` env var) is malformed.
-
-    Raised from library code; only the CLI boundary translates it into
-    an exit message.
-    """
 
 
 def core_llc_share(llc_bytes: int, cores: int = 4) -> LlcConfig:
@@ -133,9 +130,9 @@ class RunSpec:
     the LLC geometry the traces are filtered through, and the run
     length/seed.  Presentation details (system labels, normalization)
     live in the drivers, so the same spec declared by two figures is one
-    simulation.  ``telemetry`` and ``validate`` are *excluded* from the
-    key: the golden models check a result without changing it, and the
-    trace sink observes a run without changing it.
+    simulation.  Observation (``REPRO_TELEMETRY``, ``REPRO_VALIDATE``)
+    is no part of a spec: the golden models check a result without
+    changing it, and the trace sink observes a run without changing it.
     """
 
     workloads: tuple[str, ...]
@@ -146,14 +143,6 @@ class RunSpec:
     instructions: int
     seed: int
     record_events: bool = False
-    #: attach a cycle-level trace sink and export a Perfetto trace file
-    #: (also forced by ``REPRO_TELEMETRY=1``); never changes the result
-    telemetry: bool = False
-    #: run the differential golden-model checks
-    #: (:mod:`repro.validation`) over the finished simulation, raising
-    #: :class:`~repro.validation.GoldenMismatchError` on disagreement
-    #: (also forced by ``REPRO_VALIDATE=1``); never changes the result
-    validate: bool = False
 
     @property
     def key(self) -> str:
@@ -244,8 +233,7 @@ def spec_fingerprint(spec: RunSpec) -> str:
     trace-LLC geometry, run length, seed and ``record_events`` flag, all
     under the current ``CACHE_SCHEMA``.  Two processes (or two hosts)
     always agree on it, so ``repro fingerprint`` can print a result's
-    address without running it.  Observation-only fields (``telemetry``,
-    ``validate``) are excluded — they never change the result.
+    address without running it.
     """
     return spec.key
 
@@ -267,14 +255,14 @@ def cached_result(key: str) -> MulticoreResult | None:
     return cached
 
 
-def telemetry_enabled(spec: RunSpec | None = None) -> bool:
-    """Whether a run should attach a trace sink (spec flag or env)."""
-    return (spec is not None and spec.telemetry) or _env_flag("REPRO_TELEMETRY")
+def telemetry_enabled() -> bool:
+    """Whether runs attach a trace sink (``REPRO_TELEMETRY``)."""
+    return _env_flag("REPRO_TELEMETRY")
 
 
-def validation_enabled(spec: RunSpec | None = None) -> bool:
-    """Whether a run should attach the golden-model validation checks."""
-    return (spec is not None and spec.validate) or _env_flag("REPRO_VALIDATE")
+def validation_enabled() -> bool:
+    """Whether runs attach the golden-model checks (``REPRO_VALIDATE``)."""
+    return _env_flag("REPRO_VALIDATE")
 
 
 def trace_dir() -> "Path":
@@ -335,16 +323,14 @@ def run_spec(
 ) -> MulticoreResult:
     """Execute one spec (pure function; also the worker-process entry).
 
-    With telemetry enabled (``spec.telemetry`` or ``REPRO_TELEMETRY=1``)
-    a :class:`~repro.telemetry.TraceSink` rides along and the worker
-    exports a Perfetto trace file under :func:`trace_dir`; the returned
-    result is bit-identical either way.
+    With ``REPRO_TELEMETRY=1`` a :class:`~repro.telemetry.TraceSink`
+    rides along and the worker exports a Perfetto trace file under
+    :func:`trace_dir`; the returned result is bit-identical either way.
 
-    With validation enabled (``spec.validate`` or ``REPRO_VALIDATE=1``)
-    the differential golden models of :mod:`repro.validation` observe
-    the run — causality, DDR timing, the refresh schedule and lock
-    exclusion, counter recounts, and for ROP λ/β, Eq. 3 and the SRAM —
-    and any disagreement raises
+    With ``REPRO_VALIDATE=1`` the differential golden models of
+    :mod:`repro.validation` observe the run — causality, DDR timing,
+    the refresh schedule and lock exclusion, counter recounts, and for
+    ROP λ/β, Eq. 3 and the SRAM — and any disagreement raises
     :class:`~repro.validation.GoldenMismatchError` (classified
     ``invariant``) instead of returning — and caching — a result the
     analytical models contradict.  The checks observe through taps both
@@ -376,7 +362,7 @@ def run_spec(
     def _simulate(eng: str) -> tuple[MulticoreResult, list[str]]:
         sink = None
         session = None
-        if validation_enabled(spec):
+        if validation_enabled():
             # imported lazily, like in classify_failure: most runs never
             # validate, and the golden models add to every process's
             # start-up time
@@ -384,7 +370,7 @@ def run_spec(
 
             session = ValidationSession(spec.config)
             sink = session.sink
-        elif telemetry_enabled(spec):
+        elif telemetry_enabled():
             from ..telemetry import TraceSink
 
             sink = TraceSink()
@@ -402,7 +388,7 @@ def run_spec(
             mismatches = session.finish(result)
             if mismatches:
                 raise GoldenMismatchError(mismatches)
-        if sink is not None and telemetry_enabled(spec):
+        if sink is not None and telemetry_enabled():
             _export_worker_trace(spec, sink)
         return result, declined
 
@@ -512,9 +498,8 @@ def _env_int(name: str, default: int) -> int:
 class ExecutionPolicy:
     """Fault-tolerance knobs for one :func:`execute_plan` call.
 
-    Resolved, in order, from: the explicit ``policy=`` argument, the
-    process-wide override installed by :func:`set_execution_policy`
-    (the CLI boundary), and the ``REPRO_*`` environment variables.
+    The explicit ``policy=`` argument wins; otherwise
+    :meth:`from_env` reads the ``REPRO_*`` environment variables.
     """
 
     #: total executions allowed per spec (first try + transient retries)
@@ -540,20 +525,6 @@ class ExecutionPolicy:
             spec_timeout_s=_env_float("REPRO_SPEC_TIMEOUT", None),
             keep_going=_env_flag("REPRO_KEEP_GOING"),
         )
-
-
-_POLICY_OVERRIDE: ExecutionPolicy | None = None
-
-
-def set_execution_policy(policy: ExecutionPolicy | None) -> None:
-    """Install a process-wide policy (``None`` restores env control)."""
-    global _POLICY_OVERRIDE
-    _POLICY_OVERRIDE = policy
-
-
-def current_policy() -> ExecutionPolicy:
-    """The policy :func:`execute_plan` uses when none is passed."""
-    return _POLICY_OVERRIDE if _POLICY_OVERRIDE is not None else ExecutionPolicy.from_env()
 
 
 # --------------------------------------------------------- failure taxonomy
@@ -1214,8 +1185,8 @@ def _share_simulations(
 
     The simulation key is what a run reads: the content digest of each
     core's memory trace, :func:`simulation_config` and
-    ``record_events``.  A spec that asks for observation (telemetry,
-    validate) or whose traces have no digest stays on its own.
+    ``record_events``.  A spec whose traces have no digest stays on its
+    own.
     Returns the representatives, the first spec declared of each group,
     in declaration order, and for each representative key the other
     members it serves.
@@ -1229,8 +1200,7 @@ def _share_simulations(
     sizes: dict[tuple, int] = {}
     for key, spec in todo:
         traces = [digests.get(ident) for ident in _trace_idents(spec)]
-        observed = telemetry_enabled(spec) or validation_enabled(spec)
-        if observed or None in traces:
+        if None in traces:
             continue
         sim_config = sim_configs.get(id(spec.config))
         if sim_config is None:
@@ -1252,6 +1222,26 @@ def _share_simulations(
     return reps, shared
 
 
+def _parse_run_options() -> int | None:
+    """Parse the ``REPRO_*`` variables a plan's specs read; return the quota.
+
+    Covers ``REPRO_ENGINE``, the ``REPRO_FAULTS`` file, ``REPRO_CHAOS``
+    and ``REPRO_CACHE_QUOTA`` (returned in bytes, None when unset); a
+    malformed one raises :class:`ConfigError`.
+    """
+    from ..kernel import resolve_engine
+    from .cache_gc import quota_from_env
+    from .faults import fault_table
+
+    resolve_engine()
+    fault_table()
+    if "REPRO_CHAOS" in os.environ:
+        from .chaos import chaos_spec
+
+        chaos_spec()
+    return quota_from_env()
+
+
 def execute_plan(
     specs: "Iterable[RunSpec] | RunPlan",
     *,
@@ -1268,6 +1258,10 @@ def execute_plan(
     traces and :func:`simulation_config` coincide share one simulation
     (:func:`_share_simulations`).
 
+    Every ``REPRO_*`` variable the plan reads is parsed before the first
+    memo or cache lookup: a malformed one raises :class:`ConfigError`
+    with nothing looked up, simulated or written.
+
     Failure semantics follow ``policy`` (see :class:`ExecutionPolicy`):
     by default the first terminal failure raises
     :class:`PlanExecutionError`; with ``keep_going`` the returned
@@ -1280,7 +1274,9 @@ def execute_plan(
     t0 = time.perf_counter()
     spec_list = list(specs.specs if isinstance(specs, RunPlan) else specs)
     jobs = resolve_jobs(jobs)
-    policy = current_policy() if policy is None else policy
+    policy = ExecutionPolicy.from_env() if policy is None else policy
+    quota = _parse_run_options()
+    observed = telemetry_enabled() or validation_enabled()
     cache = get_cache() if cache is None else cache
 
     unique: dict[str, RunSpec] = {}
@@ -1297,7 +1293,7 @@ def execute_plan(
     results: dict[str, MulticoreResult] = {}
     todo: list[tuple[str, RunSpec]] = []
     for key, spec in unique.items():
-        if telemetry_enabled(spec) or validation_enabled(spec):
+        if observed:
             # a cached result carries no trace and was never checked:
             # force execution so the sink / golden models observe the
             # run (the result is bit-identical anyway)
@@ -1328,8 +1324,9 @@ def execute_plan(
             t_warm = time.perf_counter()
             digests = prewarm_traces(spec for _, spec in todo)
             stats.prewarm_s = time.perf_counter() - t_warm
-            todo, shared = _share_simulations(todo, digests)
-            stats.shared = sum(len(members) for members in shared.values())
+            if not observed:  # an observed spec runs on its own
+                todo, shared = _share_simulations(todo, digests)
+                stats.shared = sum(len(members) for members in shared.values())
         runner = _PlanRunner(todo, jobs, policy, cache, stats, shared)
         if jobs > 1 and len(todo) > 1:
             runner.run_parallel()
@@ -1347,29 +1344,25 @@ def execute_plan(
         getattr(cache, "quarantined", 0) + plane.quarantined - quar_before
     )
 
-    if not interrupted and getattr(cache, "root", None) is not None:
+    if not interrupted and quota is not None and getattr(cache, "root", None) is not None:
         # end-of-plan auto-GC: a quota keeps a shared cache dir bounded,
         # but never at the expense of the plan the caller is about to read
-        from .cache_gc import quota_from_env
+        from .cache_gc import collect
+        from ..workloads import profile as _profile
 
-        quota = quota_from_env()
-        if quota is not None:
-            from .cache_gc import collect
-            from ..workloads import profile as _profile
-
-            protect: set[str] = set(unique)
-            for spec in unique.values():
-                for name in spec.workloads:
-                    try:
-                        protect.add(
-                            _profile(name).trace_key(
-                                spec.instructions, spec.trace_llc, seed=spec.seed
-                            )
+        protect: set[str] = set(unique)
+        for spec in unique.values():
+            for name in spec.workloads:
+                try:
+                    protect.add(
+                        _profile(name).trace_key(
+                            spec.instructions, spec.trace_llc, seed=spec.seed
                         )
-                    except Exception:
-                        pass
-            gc_res = collect(quota, root=cache.root, protect=protect)
-            stats.cache_evictions = gc_res.evicted
+                    )
+                except Exception:
+                    pass
+        gc_res = collect(quota, root=cache.root, protect=protect)
+        stats.cache_evictions = gc_res.evicted
 
     stats.wall_s = time.perf_counter() - t0
     stats.cache_write_errors = getattr(cache, "write_errors", 0) - write_errors_before

@@ -57,7 +57,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from ..config import RefreshMode
+from ..config import ConfigError, RefreshMode
 from ..core.state_machine import RopState
 from ..dram.bank import AccessPlan
 from ..dram.request import Coord, ReqKind, Request, ServiceKind
@@ -75,13 +75,17 @@ _TICK = 3  #: tREFI grid tick (housekeeping: does not count as work)
 _PSTEP = 4  #: one Refresh-Pausing segment step (payload: state list)
 
 def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine choice: explicit argument > ``REPRO_ENGINE`` > scalar."""
+    """Resolve an engine choice: explicit argument > ``REPRO_ENGINE`` > scalar.
+
+    An unknown name raises :class:`~repro.config.ConfigError`.
+    """
+    source = "engine"
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE", "").strip().lower() or "scalar"
-    engine = engine.lower()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    return engine
+        engine = os.environ.get("REPRO_ENGINE", "").strip() or "scalar"
+        source = "REPRO_ENGINE"
+    if engine.lower() not in ENGINES:
+        raise ConfigError(f"unknown {source} {engine!r}; known: {', '.join(ENGINES)}")
+    return engine.lower()
 
 
 def run_epoch_kernel(memory, cores, max_cycles=None) -> str | None:

@@ -15,7 +15,6 @@ from repro.harness.cache import (
     default_cache_dir,
     fingerprint,
     get_cache,
-    set_cache_enabled,
 )
 from repro.harness.cache_gc import usage
 from repro.harness.quarantine import result_digest
@@ -181,13 +180,17 @@ class TestGlobalCache:
         assert not cache_enabled()
         assert isinstance(get_cache(), NullCache)
 
-    def test_disable_via_override(self, monkeypatch):
+    def test_disable_via_override(self, tmp_path, monkeypatch, capsys):
+        """``--no-cache`` overrides ``REPRO_CACHE=on`` for one command only."""
+        from repro.cli import main
+        from repro.harness.runner import clear_result_memo
+
         monkeypatch.setenv("REPRO_CACHE", "on")  # CI exports REPRO_CACHE=off
-        try:
-            set_cache_enabled(False)
-            assert isinstance(get_cache(), NullCache)
-        finally:
-            set_cache_enabled(None)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_result_memo()
+        assert main(["fig", "1", "gobmk", "--instructions", "60000", "--no-cache"]) == 0
+        assert "simulated 2" in capsys.readouterr().out
+        assert usage(tmp_path)["entries"] == 0  # nothing persisted
         assert get_cache().enabled
 
     def test_null_cache_is_inert(self):

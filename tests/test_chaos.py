@@ -35,9 +35,6 @@ def build_specs():
 
 @pytest.fixture(autouse=True)
 def fresh_memos(monkeypatch):
-    from repro.harness import set_cache_enabled
-
-    set_cache_enabled(None)
     monkeypatch.setenv("REPRO_CACHE", "on")
     clear_trace_cache()
     clear_result_memo()

@@ -75,13 +75,7 @@ def test_parser_runner_flags():
 
 
 def test_fig_reports_runner_stats(capsys):
-    from repro.harness import set_cache_enabled
-
-    try:
-        assert main(["fig", "1", "gobmk", "--scale", "smoke",
-                     "--jobs", "1", "--no-cache"]) == 0
-    finally:
-        set_cache_enabled(None)  # --no-cache sets a process-wide override
+    assert main(["fig", "1", "gobmk", "--scale", "smoke", "--jobs", "1", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "AVERAGE" in out
     assert "runner:" in out and "jobs=1" in out
@@ -100,22 +94,29 @@ def test_parser_fault_tolerance_flags():
         build_parser().parse_args(["fig", "1", "x", "--keep-going", "--fail-fast"])
 
 
-def test_flags_install_execution_policy():
-    from argparse import Namespace
+def test_flags_install_execution_policy(monkeypatch):
+    """The runner flags reach the policy as ``REPRO_*`` variables."""
+    from repro.cli import _env_overlay
+    from repro.harness import ExecutionPolicy
 
-    from repro.cli import _runner_opts
-    from repro.harness import current_policy, set_execution_policy
-
-    try:
-        jobs = _runner_opts(Namespace(no_cache=False, jobs=3, spec_timeout=90.0,
-                                      retries=4, keep_going=True, fail_fast=False))
-        assert jobs == 3
-        policy = current_policy()
-        assert policy.spec_timeout_s == 90.0
-        assert policy.max_attempts == 4
-        assert policy.keep_going
-    finally:
-        set_execution_policy(None)
+    args = build_parser().parse_args(
+        ["fig", "1", "gobmk", "--spec-timeout", "90", "--retries", "4", "--keep-going",
+         "--no-cache", "--engine", "epoch", "--validate"]
+    )
+    overlay = _env_overlay(args)
+    assert overlay == {
+        "REPRO_ENGINE": "epoch", "REPRO_VALIDATE": "1", "REPRO_CACHE": "off",
+        "REPRO_SPEC_TIMEOUT": "90.0", "REPRO_RETRIES": "4", "REPRO_KEEP_GOING": "1",
+    }
+    for name, value in overlay.items():
+        monkeypatch.setenv(name, value)
+    policy = ExecutionPolicy.from_env()
+    assert policy.spec_timeout_s == 90.0
+    assert policy.max_attempts == 4
+    assert policy.keep_going
+    # --fail-fast overrides REPRO_KEEP_GOING=1 from the environment
+    fail_fast = _env_overlay(build_parser().parse_args(["fig", "1", "--fail-fast"]))
+    assert fail_fast == {"REPRO_KEEP_GOING": "0"}
 
 
 def test_bad_repro_jobs_exits_2(monkeypatch, capsys):
@@ -123,9 +124,72 @@ def test_bad_repro_jobs_exits_2(monkeypatch, capsys):
     assert main(["fig", "1", "gobmk", "--instructions", "120000", "--no-cache"]) == 2
     err = capsys.readouterr().err
     assert "REPRO_JOBS" in err
-    from repro.harness import set_cache_enabled
 
-    set_cache_enabled(None)
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("REPRO_ENGINE", "bogus"),
+        ("REPRO_CHAOS", "garbage"),
+        ("REPRO_FAULTS", "missing.json"),
+        ("REPRO_CACHE_QUOTA", "banana"),
+    ],
+)
+def test_malformed_knob_exits_2_before_any_run(name, value, fresh_cache, tmp_path,
+                                              monkeypatch, capsys):
+    """A malformed ``REPRO_*`` value fails the command at once: one stderr
+    line naming it, no simulation, nothing written to the cache dir."""
+    from repro.harness import runner
+
+    calls = []
+    monkeypatch.setattr(runner, "run_spec", lambda *a, **k: calls.append(a))
+    monkeypatch.setenv(name, str(tmp_path / value) if name == "REPRO_FAULTS" else value)
+    assert main(["fig", "1", "gobmk", "--instructions", "120000"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro fig: ") and name in lines[0]
+    assert calls == []
+    cache_dir = tmp_path / "cache"
+    assert not cache_dir.exists() or not any(cache_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, name, value",
+    [
+        (["validate", "--only", "lbm-baseline"], "REPRO_ENGINE", "bogus"),
+        (["trace", "lbm", "--instructions", "100000"], "REPRO_ENGINE", "bogus"),
+        (["profile", "lbm", "--instructions", "100000"], "REPRO_ENGINE", "bogus"),
+        # an unreadable fault file would disarm the skews and run the gate green
+        (["validate", "--only", "lbm-baseline"], "REPRO_FAULTS", "missing.json"),
+    ],
+)
+def test_single_run_commands_reject_malformed_knobs(argv, name, value, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and name in lines[0]
+    assert list(tmp_path.iterdir()) == []  # trace wrote no output file
+
+
+def test_main_restores_the_environment(skewed_golden, fresh_cache, capsys):
+    """Flags apply to one command: afterwards every ``REPRO_*`` entry and
+    the cache switch are as before, so the next call is unaffected."""
+    import os
+
+    from repro.harness.cache import cache_enabled
+
+    before = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+    argv = ["compare", "lbm", "--instructions", "100000"]
+    assert main([*argv, "--no-cache", "--validate", "--engine", "epoch"]) == 1
+    assert {k: v for k, v in os.environ.items() if k.startswith("REPRO_")} == before
+    assert cache_enabled()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["fig", "99", "--validate", "--no-cache"]) == 2  # so does an error exit
+    assert {k: v for k, v in os.environ.items() if k.startswith("REPRO_")} == before
 
 
 def test_fail_fast_exits_1_with_report(tmp_path, monkeypatch, capsys):
@@ -230,9 +294,6 @@ def skewed_golden(tmp_path, monkeypatch):
     faults.write_text(json.dumps({"golden:ddr-timing": 7}))
     monkeypatch.setenv("REPRO_FAULTS", str(faults))
     monkeypatch.setenv("REPRO_CACHE", "off")
-    # register teardown restores: main() sets these via os.environ
-    monkeypatch.setenv("REPRO_VALIDATE", "")
-    monkeypatch.setenv("REPRO_ENGINE", "")
     clear_result_memo()
 
 
@@ -255,8 +316,7 @@ def test_profile_honours_validate_and_engine(skewed_golden, capsys):
     assert "ddr-timing" in capsys.readouterr().err
 
 
-def test_trace_engine_flag_is_bit_identical(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_ENGINE", "")
+def test_trace_engine_flag_is_bit_identical(tmp_path, capsys):
     firsts = []
     for engine in ("scalar", "epoch"):
         out = tmp_path / f"{engine}.csv"

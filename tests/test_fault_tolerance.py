@@ -322,22 +322,23 @@ class TestCacheWriteWarning:
 
 
 class TestValidate:
-    def test_validated_run_spec_matches_unvalidated(self):
+    def test_validated_run_spec_matches_unvalidated(self, monkeypatch):
         spec = tiny_specs(("gobmk",))[0]
         plain = run_spec(spec)
-        validated = run_spec(dataclasses.replace(spec, validate=True))
+        monkeypatch.setenv("REPRO_VALIDATE", "1")
+        validated = run_spec(spec)
         assert validated.cores == plain.cores
         assert validated.stats == plain.stats
 
-    def test_validate_via_spec_field_and_events(self):
+    def test_validate_via_env_and_events(self, monkeypatch):
         cfg = SystemConfig.single_core()
-        spec = dataclasses.replace(
-            RunSpec.benchmark("gobmk", cfg, TINY, record_events=True), validate=True
-        )
+        spec = RunSpec.benchmark("gobmk", cfg, TINY, record_events=True)
+        key = spec.key
+        monkeypatch.setenv("REPRO_VALIDATE", "1")
         result = run_spec(spec)  # every golden check, lock exclusion included
         assert result.events is not None
-        # validate is excluded from the cache key: same artifact either way
-        assert spec.key == RunSpec.benchmark("gobmk", cfg, TINY, record_events=True).key
+        # validation is no part of the cache key: same artifact either way
+        assert RunSpec.benchmark("gobmk", cfg, TINY, record_events=True).key == key
 
 
 class TestFailureReporting:

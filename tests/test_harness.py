@@ -3,20 +3,21 @@
 import pytest
 
 from repro import SystemConfig
+from repro.energy import system_energy
 from repro.harness import (
     RunScale,
-    alone_ipc,
+    RunSpec,
+    execute_plan,
     fig1_refresh_overheads,
     fig2_to_4_and_table1,
     fig7_8_9_rop_comparison,
     fig10_11_weighted_speedup,
     fig12_13_14_llc_sensitivity,
+    last_stats,
     reporting,
-    run_benchmark,
-    run_mix,
-    scale_from_env,
     three_systems,
 )
+from repro.stats.metrics import weighted_speedup
 
 SC = RunScale.named("smoke")
 BENCHES = ("lbm", "gobmk")
@@ -28,25 +29,23 @@ class TestScales:
         with pytest.raises(KeyError):
             RunScale.named("galactic")
 
-    def test_scale_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert scale_from_env().instructions == RunScale.named("smoke").instructions
-        monkeypatch.delenv("REPRO_SCALE")
-        assert scale_from_env("paper").instructions == RunScale.named("paper").instructions
-
 
 class TestRunBenchmark:
     def test_run_produces_metrics(self):
-        r = run_benchmark("lbm", SystemConfig.single_core(), SC, system="baseline")
-        assert r.ipc > 0
-        assert r.energy.total > 0
-        assert r.benchmark == "lbm" and r.system == "baseline"
+        cfg = SystemConfig.single_core()
+        spec = RunSpec.benchmark("lbm", cfg, SC)
+        result = execute_plan([spec], jobs=1)[spec]
+        assert result.ipc > 0
+        assert system_energy(result.stats, cfg).total > 0
+        assert spec.workloads == ("lbm",) and spec.config is cfg
 
     def test_alone_ipc_memoized(self):
         cfg = SystemConfig.quad_core()
-        a = alone_ipc("gobmk", cfg.llc, SC, cfg)
-        b = alone_ipc("gobmk", cfg.llc, SC, cfg)
+        spec = RunSpec.alone("gobmk", cfg.llc, SC, cfg)
+        a = execute_plan([spec], jobs=1)[spec].ipc
+        b = execute_plan([spec], jobs=1)[spec].ipc
         assert a == b > 0
+        assert last_stats().memo_hits == 1
 
 
 class TestFig1:
@@ -120,9 +119,13 @@ class TestMulticore:
         assert all(c.llc.size_bytes == 1 << 20 for c in systems.values())
 
     def test_run_mix(self):
-        r = run_mix("WL6", SystemConfig.quad_core(), SC, system="RP")
-        assert 0 < r.weighted_speedup <= 4.0
-        assert len(r.result.cores) == 4
+        cfg = SystemConfig.quad_core()
+        spec = RunSpec.mix("WL6", cfg, SC)
+        alone = [RunSpec.alone(name, spec.trace_llc, SC, cfg) for name in spec.workloads]
+        results = execute_plan([spec, *alone], jobs=1)
+        ws = weighted_speedup(results[spec].ipcs, [results[s].ipc for s in alone])
+        assert 0 < ws <= 4.0
+        assert len(results[spec].cores) == 4
 
     def test_fig10_structure(self):
         rows = fig10_11_weighted_speedup(("WL6",), SC)

@@ -47,9 +47,6 @@ TINY = RunScale(instructions=60_000, seed=3, training_refreshes=3)
 @pytest.fixture(autouse=True)
 def cache_env(tmp_path, monkeypatch):
     """Fresh cache dir, cache ON, memos cleared (chaos markers live here)."""
-    from repro.harness import set_cache_enabled
-
-    set_cache_enabled(None)
     monkeypatch.setenv("REPRO_CACHE", "on")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_trace_cache()

@@ -20,7 +20,6 @@ from repro.harness import (
     RunPlan,
     RunScale,
     RunSpec,
-    alone_ipc,
     execute_plan,
     fig7_8_9_rop_comparison,
     fig10_11_specs,
@@ -28,8 +27,6 @@ from repro.harness import (
     last_fallbacks,
     last_stats,
     resolve_jobs,
-    run_mix,
-    set_cache_enabled,
 )
 from repro.harness import runner
 from repro.harness.cache import ArtifactCache, NullCache
@@ -37,11 +34,17 @@ from repro.harness.quarantine import result_digest
 from repro.harness.reporting import render_runner_stats
 from repro.harness.runner import clear_result_memo, simulation_config
 from repro.harness.zoo import zoo_configs
+from repro.stats.metrics import weighted_speedup
 from repro.workloads import profile, spec_profiles
 from repro.workloads.spec_profiles import clear_trace_cache
 
 #: deliberately smaller than the smoke scale: this file runs many plans
 TINY = RunScale(instructions=120_000, seed=3, training_refreshes=3)
+
+
+def _alone_ipc(name, llc, config) -> float:
+    spec = RunSpec.alone(name, llc, TINY, config)
+    return execute_plan([spec], jobs=1)[spec].ipc
 
 
 @pytest.fixture(autouse=True)
@@ -129,14 +132,11 @@ class TestExecutePlan:
         the same rows."""
         cfg = SystemConfig.single_core()
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        set_cache_enabled(True)
-        try:
-            cold = fig7_8_9_rop_comparison(("gobmk",), TINY, cfg, sram_sizes=(16,), jobs=2)
-            clear_result_memo()
-            clear_trace_cache()
-            warm = fig7_8_9_rop_comparison(("gobmk",), TINY, cfg, sram_sizes=(16,), jobs=1)
-        finally:
-            set_cache_enabled(None)
+        monkeypatch.setenv("REPRO_CACHE", "on")  # CI exports REPRO_CACHE=off
+        cold = fig7_8_9_rop_comparison(("gobmk",), TINY, cfg, sram_sizes=(16,), jobs=2)
+        clear_result_memo()
+        clear_trace_cache()
+        warm = fig7_8_9_rop_comparison(("gobmk",), TINY, cfg, sram_sizes=(16,), jobs=1)
         stats = last_stats()
         assert stats.executed == 0
         assert stats.hits == stats.unique
@@ -196,14 +196,22 @@ class TestExecutePlan:
         """Artifacts persist across 'processes' (simulated by memo clears)."""
         cache = ArtifactCache(tmp_path)
         cfg = SystemConfig.quad_core()
-        r1 = run_mix("WL6", cfg, TINY, jobs=1)
+        spec = RunSpec.mix("WL6", cfg, TINY)
+        alone = [RunSpec.alone(name, spec.trace_llc, TINY, cfg) for name in spec.workloads]
+
+        def run_mix():
+            results = execute_plan([spec, *alone], jobs=1, cache=cache)
+            ipcs = [results[s].ipc for s in alone]
+            return results[spec], weighted_speedup(results[spec].ipcs, ipcs)
+
+        r1, ws1 = run_mix()
         clear_result_memo()
         clear_trace_cache()
         # second invocation: all five runs (mix + 4 alone) from disk
-        get_cache_hits_before = last_stats().cache_hits
-        r2 = run_mix("WL6", cfg, TINY, jobs=1)
-        assert r1.weighted_speedup == r2.weighted_speedup
-        assert r1.result.cores == r2.result.cores
+        r2, ws2 = run_mix()
+        assert last_stats().cache_hits == 5
+        assert ws1 == ws2
+        assert r1.cores == r2.cores
 
 
 class TestOneSynthesisPerPlan:
@@ -331,31 +339,29 @@ class TestSharedSimulations:
         assert (stats.cache_hits, stats.executed, stats.shared) == (5, 0, 0)
 
     def test_observation_specs_run_alone(self, run_spec_calls, tmp_path, monkeypatch):
+        """Under ``REPRO_TELEMETRY=1`` nothing is shared: every spec runs
+        under its own sink and exports its own trace."""
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
-        plain = self._variants("gobmk", self.SIZES[:2])
-        telemetry, validate = (
-            self._variants("gobmk", (size,), **{flag: True})[0]
-            for flag, size in zip(("telemetry", "validate"), self.SIZES[2:])
-        )
-        specs = plain + [telemetry, validate]
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        specs = self._variants("gobmk", self.SIZES[:3])
         assert self._same_traces(specs)
         execute_plan(specs, jobs=1, cache=NullCache())
-        assert run_spec_calls == [plain[0].key, telemetry.key, validate.key]
-        assert last_stats().shared == 1
-        assert (tmp_path / f"gobmk-{telemetry.key[:12]}.trace.json").exists()
+        assert run_spec_calls == [s.key for s in specs]
+        assert last_stats().shared == 0
+        for spec in specs:
+            assert (tmp_path / f"gobmk-{spec.key[:12]}.trace.json").exists()
 
-    def test_observation_by_policy_or_env_disables_sharing(self, monkeypatch):
-        # observation is asked for by spec flag or env; the execution
-        # policy carries no observation knob
+    def test_observation_env_disables_sharing(self, run_spec_calls, monkeypatch):
         specs = self._variants("gobmk", self.SIZES)
         todo = [(s.key, s) for s in specs]
         digests = {ident: "same" for s in specs for ident in runner._trace_idents(s)}
         reps, shared = runner._share_simulations(todo, digests)
         assert reps == todo[:1] and len(shared[specs[0].key]) == 3
-        for env in ("REPRO_TELEMETRY", "REPRO_VALIDATE"):
-            monkeypatch.setenv(env, "1")
-            assert runner._share_simulations(todo, digests) == (todo, {})
-            monkeypatch.delenv(env)
+        # observation is asked for by the environment alone, plan-wide
+        monkeypatch.setenv("REPRO_VALIDATE", "1")
+        execute_plan(specs[:2], jobs=1, cache=NullCache())
+        assert run_spec_calls == [s.key for s in specs[:2]]
+        assert last_stats().shared == 0
         # a trace whose prewarm failed has no digest: its spec runs alone
         del digests[runner._trace_idents(specs[1])[0]]
         reps, shared = runner._share_simulations(todo, digests)
@@ -482,21 +488,21 @@ class TestAloneIpc:
         used to be a (wrong) memo hit."""
         shared = SystemConfig.quad_core(rank_partitioned=False)
         partitioned = SystemConfig.quad_core(rank_partitioned=True)
-        a = alone_ipc("lbm", shared.llc, TINY, shared)
+        a = _alone_ipc("lbm", shared.llc, shared)
         assert last_stats().executed == 1
-        b = alone_ipc("lbm", partitioned.llc, TINY, partitioned)
+        b = _alone_ipc("lbm", partitioned.llc, partitioned)
         assert last_stats().executed == 1  # simulated anew, not shared
         assert a > 0 and b > 0
         # and a genuinely different memory (no refresh) yields a different IPC
-        c = alone_ipc("lbm", shared.llc, TINY, shared.with_refresh_mode(RefreshMode.NONE))
+        c = _alone_ipc("lbm", shared.llc, shared.with_refresh_mode(RefreshMode.NONE))
         assert last_stats().executed == 1
         assert c != a
 
     def test_memoized(self):
         cfg = SystemConfig.quad_core()
-        a = alone_ipc("gobmk", cfg.llc, TINY, cfg)
+        a = _alone_ipc("gobmk", cfg.llc, cfg)
         executed_first = last_stats().executed
-        b = alone_ipc("gobmk", cfg.llc, TINY, cfg)
+        b = _alone_ipc("gobmk", cfg.llc, cfg)
         assert a == b
         assert executed_first == 1
         assert last_stats().executed == 0

@@ -17,7 +17,6 @@ Covers the contract the rest of the repository relies on:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -175,16 +174,18 @@ class TestTelemetryInvariance:
         assert on.rop_summary == off.rop_summary
         assert on.metrics == off.metrics  # metrics derive from scalars only
 
-    def test_spec_key_excludes_telemetry(self):
+    def test_spec_key_excludes_telemetry(self, monkeypatch):
         spec = RunSpec.benchmark("lbm", SystemConfig.single_core(), TINY)
-        assert dataclasses.replace(spec, telemetry=True).key == spec.key
+        key = spec.key
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        assert RunSpec.benchmark("lbm", SystemConfig.single_core(), TINY).key == key
 
     def test_telemetry_spec_bypasses_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path))
         spec = RunSpec.benchmark("gobmk", SystemConfig.single_core(), TINY)
         execute_plan([spec], jobs=1, cache=NullCache())
-        live = dataclasses.replace(spec, telemetry=True)
-        res = execute_plan([live], jobs=1, cache=NullCache())
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        res = execute_plan([spec], jobs=1, cache=NullCache())
         assert res.stats.memo_hits == 0  # memo hit would leave no trace
         assert res.stats.executed == 1
         traces = list(tmp_path.glob("*.trace.json"))
@@ -461,18 +462,10 @@ class TestCli:
     def test_telemetry_flag_writes_worker_traces(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
-        # register teardown restores: main() sets these via os.environ
-        monkeypatch.setenv("REPRO_TELEMETRY", "")
-        monkeypatch.setenv("REPRO_TRACE_DIR", "")
-        from repro.harness import set_cache_enabled
-
-        try:
-            code = main(
-                ["analyze", "gobmk", "--instructions", "120000", "--telemetry",
-                 "--trace-dir", str(tmp_path), "--no-cache"]
-            )
-        finally:
-            set_cache_enabled(None)  # --no-cache sets a process-wide override
+        code = main(
+            ["analyze", "gobmk", "--instructions", "120000", "--telemetry",
+             "--trace-dir", str(tmp_path), "--no-cache"]
+        )
         assert code == 0
         assert list(tmp_path.glob("*.trace.json"))
         assert "telemetry:" in capsys.readouterr().out

@@ -35,9 +35,6 @@ LLC = LlcConfig(size_bytes=256 * 1024, ways=4)
 @pytest.fixture(autouse=True)
 def plane_env(tmp_path, monkeypatch):
     """Point the cache (and so the plane) at a fresh directory, cache ON."""
-    from repro.harness import set_cache_enabled
-
-    set_cache_enabled(None)  # drop any leaked process-wide override
     monkeypatch.setenv("REPRO_CACHE", "on")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     clear_trace_cache()

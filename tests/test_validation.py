@@ -230,40 +230,38 @@ def test_stat_value_accessors():
 # ------------------------------------------------------- runner integration
 
 
-def _tiny_spec(**kw) -> RunSpec:
+def _tiny_spec() -> RunSpec:
     cfg = SystemConfig.single_core()
     return RunSpec(
-        workloads=("lbm",),
-        config=cfg,
-        trace_llc=cfg.llc,
-        instructions=50_000,
-        seed=1,
-        **kw,
+        workloads=("lbm",), config=cfg, trace_llc=cfg.llc, instructions=50_000, seed=1
     )
 
 
-def test_runspec_validate_excluded_from_cache_key():
-    assert _tiny_spec().key == _tiny_spec(validate=True).key
-
-
-def test_validation_enabled_by_spec_or_env(monkeypatch):
-    monkeypatch.delenv("REPRO_VALIDATE", raising=False)
-    assert not validation_enabled(_tiny_spec())
-    assert validation_enabled(_tiny_spec(validate=True))
+def test_runspec_validate_excluded_from_cache_key(monkeypatch):
+    key = _tiny_spec().key
     monkeypatch.setenv("REPRO_VALIDATE", "1")
-    assert validation_enabled(_tiny_spec())
+    assert _tiny_spec().key == key
+
+
+def test_validation_enabled_by_env(monkeypatch):
+    monkeypatch.delenv("REPRO_VALIDATE", raising=False)
+    assert not validation_enabled()
+    monkeypatch.setenv("REPRO_VALIDATE", "1")
+    assert validation_enabled()
 
 
 def test_run_spec_validated_clean(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    result = run_spec(_tiny_spec(validate=True))
+    monkeypatch.setenv("REPRO_VALIDATE", "1")
+    result = run_spec(_tiny_spec())
     assert result.ipc > 0
 
 
 def test_run_spec_validated_raises_on_mismatch(monkeypatch, tmp_path):
     _arm(monkeypatch, tmp_path, {"golden:counters": 2})
+    monkeypatch.setenv("REPRO_VALIDATE", "1")
     with pytest.raises(GoldenMismatchError) as info:
-        run_spec(_tiny_spec(validate=True))
+        run_spec(_tiny_spec())
     exc = info.value
     assert classify_failure(exc) == "invariant"
     assert any(m.check == "counters" for m in exc.mismatches)
