@@ -188,7 +188,7 @@ def main() -> int:
         print(f"chaos:      {len(chaotic)} results in "
               f"{time.perf_counter() - t1:.1f}s, "
               f"{len(chaos_failures)} failures")
-        print(f"  fired: " + (", ".join(
+        print("  fired: " + (", ".join(
             f"{site}={n}" for site, n in sorted(counts.items())) or "(nothing)"))
         print(f"  absorbed: {total_fallbacks} engine fallbacks, "
               f"{total_rebuilds} pool rebuilds, "

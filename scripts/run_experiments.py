@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Run the full paper-scale experiment set and emit EXPERIMENTS.md content.
+"""Run the full experiment set and emit EXPERIMENTS.md content.
 
 This is the script that produced EXPERIMENTS.md: every table and figure
-driver at the `paper` scale, rendered as markdown-ish text blocks with the
-paper's reported values alongside.
+driver, rendered as markdown-ish text blocks, followed by one verdict per
+paper claim (``repro.validation.claims``) with the paper's number beside
+the measured value.  The single-core tables come from the claims' rows;
+the multi-core tables run at a third of the scale's length per core,
+while the Fig. 10–14 claims run at the full length.
 
 Usage:  python scripts/run_experiments.py [out.md] [--scale paper]
 """
@@ -14,15 +17,13 @@ import time
 from repro.harness import (
     DEFAULT_BENCHMARKS,
     RunScale,
-    fig1_refresh_overheads,
-    fig2_to_4_and_table1,
-    fig7_8_9_rop_comparison,
     fig10_11_weighted_speedup,
     fig12_13_14_llc_sensitivity,
     reporting,
 )
 from repro.stats.metrics import geomean
-from repro.workloads import WORKLOAD_MIXES, profile
+from repro.validation import claims
+from repro.workloads import WORKLOAD_MIXES
 
 
 def main() -> None:
@@ -48,19 +49,18 @@ def main() -> None:
         lines.append(f"## {title}\n\n```\n{text}\n```\n")
 
     t0 = time.time()
+    mixes = tuple(WORKLOAD_MIXES)
+    rows = claims.collect(scale, DEFAULT_BENCHMARKS, mixes)
 
-    rows1 = fig1_refresh_overheads(DEFAULT_BENCHMARKS, scale)
-    block("FIG1 refresh overheads (perf + energy)", reporting.render_fig1(rows1))
+    block("FIG1 refresh overheads (perf + energy)", reporting.render_fig1(rows["fig1"]))
 
-    rows234 = fig2_to_4_and_table1(DEFAULT_BENCHMARKS, scale)
+    rows234 = rows["fig2_4"]
     block("TAB1 lambda/beta", reporting.render_table1(rows234))
     block("FIG2 non-blocking refreshes", reporting.render_fig2(rows234))
     block("FIG3 blocked per blocking refresh", reporting.render_fig3(rows234))
     block("FIG4 dominant events", reporting.render_fig4(rows234))
 
-    rows789 = fig7_8_9_rop_comparison(
-        DEFAULT_BENCHMARKS, scale, sram_sizes=(16, 32, 64, 128)
-    )
+    rows789 = rows["fig7_9"]
     block("FIG7/8/9 single-core ROP", reporting.render_fig7_8_9(rows789))
     gains = [r["rop"][64]["norm_ipc"] for r in rows789]
     lines.append(
@@ -68,7 +68,6 @@ def main() -> None:
         f"max gain {max(gains):.4f}\n"
     )
 
-    mixes = tuple(WORKLOAD_MIXES)
     rows1011 = fig10_11_weighted_speedup(mixes, mix_scale)
     block("FIG10/11 multi-programmed", reporting.render_fig10_11(rows1011))
 
@@ -86,6 +85,13 @@ def main() -> None:
     block(
         "FIG14 armed hit rate vs LLC",
         reporting.render_llc_sensitivity(rows121314, "rop_armed_hit_rate"),
+    )
+
+    block(
+        f"Paper claims (scale={scale_name})",
+        claims.render_verdicts(claims.evaluate(rows))
+        + f"\nfig10.* to fig14.* are measured on 4-core runs of {scale.instructions}"
+        f" instructions per core; the FIG10-14 tables above run {mix_scale.instructions}.",
     )
 
     lines.append(f"_Total wall time: {time.time() - t0:.0f}s_\n")

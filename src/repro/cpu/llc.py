@@ -107,8 +107,8 @@ def filter_trace(trace: AccessTrace, cfg: LlcConfig) -> LlcResult:
     access index; miss gaps are differences of the gap prefix sum at
     those indices, and the miss/write-back interleave is assembled with
     vectorized NumPy.  :class:`Llc` stays the per-access reference;
-    ``benchmarks/bench_llc_filter.py`` and ``tests/test_llc.py`` check
-    the two agree bit for bit.
+    ``tests/test_llc.py`` checks the two agree bit for bit, and
+    perfbench's ``cpu.llc.accesses_per_s`` times the folded filter.
     """
     n = len(trace)
     mask = cfg.sets - 1

@@ -2,8 +2,8 @@
 
 An *experiment* is one co-simulation of a workload against a memory
 configuration; :class:`RunScale` fixes its length and seed so every driver
-(and every pytest-benchmark target, through ``REPRO_SCALE``) can be shrunk
-or grown uniformly:
+can be shrunk or grown uniformly (``python -m repro fig <id> --scale S``,
+``python scripts/run_experiments.py out.md --scale S``):
 
 * ``smoke`` — seconds-long runs for CI / unit use,
 * ``default`` — minutes-long runs with stable statistics,

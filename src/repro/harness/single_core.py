@@ -2,7 +2,8 @@
 
 Every function returns plain data structures (lists of row dicts) that
 :mod:`repro.harness.reporting` renders in the paper's format, so the same
-drivers back the pytest benchmarks, the examples and EXPERIMENTS.md.
+drivers back the CLI, the paper claims (:mod:`repro.validation.claims`),
+the examples and EXPERIMENTS.md.
 """
 
 from __future__ import annotations
